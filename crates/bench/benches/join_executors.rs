@@ -10,6 +10,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use nocap::{NocapConfig, NocapJoin};
 use nocap_joins::{DhhConfig, DhhJoin, GraceHashJoin, SortMergeJoin};
 use nocap_model::JoinSpec;
+use nocap_obs::Obs;
 use nocap_storage::SimDevice;
 use nocap_workload::{synthetic, Correlation, SyntheticConfig};
 
@@ -36,7 +37,7 @@ fn bench_executors(c: &mut Criterion) {
         b.iter(|| {
             wl.r.device().reset_stats();
             NocapJoin::new(spec, NocapConfig::default())
-                .run(&wl.r, &wl.s, &wl.mcvs)
+                .run_parallel_obs(&wl.r, &wl.s, &wl.mcvs, 1, &Obs::off())
                 .unwrap()
                 .output_records
         })
@@ -45,7 +46,7 @@ fn bench_executors(c: &mut Criterion) {
         b.iter(|| {
             wl.r.device().reset_stats();
             DhhJoin::new(spec, DhhConfig::default())
-                .run(&wl.r, &wl.s, &wl.mcvs)
+                .run_parallel_obs(&wl.r, &wl.s, &wl.mcvs, 1, &Obs::off())
                 .unwrap()
                 .output_records
         })
@@ -54,7 +55,7 @@ fn bench_executors(c: &mut Criterion) {
         b.iter(|| {
             wl.r.device().reset_stats();
             GraceHashJoin::new(spec)
-                .run(&wl.r, &wl.s)
+                .run_parallel_obs(&wl.r, &wl.s, 1, &Obs::off())
                 .unwrap()
                 .output_records
         })
@@ -63,7 +64,7 @@ fn bench_executors(c: &mut Criterion) {
         b.iter(|| {
             wl.r.device().reset_stats();
             SortMergeJoin::new(spec)
-                .run(&wl.r, &wl.s)
+                .run_parallel_obs(&wl.r, &wl.s, 1, &Obs::off())
                 .unwrap()
                 .output_records
         })

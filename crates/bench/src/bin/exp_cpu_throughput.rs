@@ -205,11 +205,11 @@ fn main() {
     let runs: [(&str, TracedRun); 2] = [
         (
             "SMJ",
-            Box::new(|obs| smj.run_obs(&r, &s, obs).expect("SMJ run")),
+            Box::new(|obs| smj.run_parallel_obs(&r, &s, 1, obs).expect("SMJ run")),
         ),
         (
             "GHJ",
-            Box::new(|obs| ghj.run_obs(&r, &s, obs).expect("GHJ run")),
+            Box::new(|obs| ghj.run_parallel_obs(&r, &s, 1, obs).expect("GHJ run")),
         ),
     ];
     for (label, run) in &runs {
@@ -220,7 +220,7 @@ fn main() {
         println!(
             "# {label} end-to-end: recorder off {off_secs:.4}s (best of {repeats}), \
              recorder on {:.4}s (single run)",
-            traced.cpu_seconds
+            traced.wall_seconds
         );
         report_trace(label, &traced);
     }

@@ -9,6 +9,7 @@
 use nocap::{NocapConfig, NocapJoin};
 use nocap_joins::{DhhConfig, DhhJoin};
 use nocap_model::JoinSpec;
+use nocap_obs::Obs;
 use nocap_storage::SimDevice;
 use nocap_workload::{synthetic, Correlation, SyntheticConfig};
 
@@ -34,7 +35,7 @@ fn main() {
         let spec = JoinSpec::paper_synthetic(record_bytes, budget);
         device.reset_stats();
         let nocap_ios = NocapJoin::new(spec, NocapConfig::default())
-            .run(&wl.r, &wl.s, &wl.mcvs)
+            .run_parallel_obs(&wl.r, &wl.s, &wl.mcvs, 1, &Obs::off())
             .expect("NOCAP")
             .total_ios() as f64;
 
@@ -50,7 +51,7 @@ fn main() {
                 };
                 device.reset_stats();
                 let dhh_ios = DhhJoin::new(spec, cfg)
-                    .run(&wl.r, &wl.s, &wl.mcvs)
+                    .run_parallel_obs(&wl.r, &wl.s, &wl.mcvs, 1, &Obs::off())
                     .expect("DHH")
                     .total_ios() as f64;
                 let reduction = 1.0 - nocap_ios / dhh_ios;

@@ -151,7 +151,7 @@ fn main() {
             let join = NocapJoin::new(spec, NocapConfig::default());
             let obs = Obs::recording();
             let report = join
-                .run_obs(&workload.r, &workload.s, &workload.mcvs, &obs)
+                .run_parallel_obs(&workload.r, &workload.s, &workload.mcvs, 1, &obs)
                 .expect("audited NOCAP run");
             maybe_audit_io(
                 &format!("fig8_{name}_nocap"),

@@ -1,12 +1,14 @@
-//! Wall-clock scaling of the parallel execution surface: NOCAP, DHH, SMJ
-//! and sharded statistics collection.
+//! Wall-clock scaling of the execution engine: NOCAP, DHH, SMJ and sharded
+//! statistics collection.
 //!
-//! Runs the Zipf(1.0) synthetic workload through `NocapJoin::run_parallel`,
-//! `DhhJoin::run_parallel`, `SortMergeJoin::run_parallel` and
-//! `StatsCollector::collect_parallel` at 1, 2,
-//! 4 and 8 workers and reports wall-clock speedup relative to one worker,
-//! verifying at every point that the modeled I/O trace and the join output
-//! (or the statistics summary) are identical to the sequential path — the
+//! Runs the Zipf(1.0) synthetic workload through
+//! `NocapJoin::run_parallel_obs`, `DhhJoin::run_parallel_obs`,
+//! `SortMergeJoin::run_parallel_obs` and `StatsCollector::collect_parallel`
+//! at 1, 2, 4 and 8 workers. Each executor has one body for every thread
+//! count, so the speedup baseline is that same body at `threads = 1` (the
+//! sequential run): every row reports wall-clock speedup relative to one
+//! worker and verifies that the modeled I/O trace and the join output (or
+//! the statistics summary) are identical to the one-worker run — the
 //! engine's core contract: parallelism changes *when* the work happens,
 //! never *what* work happens.
 //!
@@ -58,17 +60,20 @@ fn scaling_rows<T>(
     }
 }
 
-/// Times `run(threads)` and checks its report against the sequential
-/// baseline, printing one CSV row per thread count.
+/// Times `run(threads)` at 1/2/4/8 workers, printing one CSV row per
+/// thread count, and checks every report against the one-worker run — the
+/// speedup baseline, which it returns. The one-worker output must match
+/// `expected_output`.
 fn scaling_table(
     algo: &str,
-    sequential: &JoinRunReport,
+    expected_output: u64,
     repeats: usize,
     device: &nocap_storage::device::DeviceRef,
     run: impl Fn(usize) -> JoinRunReport,
-) {
-    println!("# {algo} scaling");
-    println!("threads,wall_secs,speedup_vs_1,total_ios,io_identical_to_sequential");
+) -> JoinRunReport {
+    println!("# {algo} scaling (baseline: threads = 1)");
+    println!("threads,wall_secs,speedup_vs_1,total_ios,io_identical_to_1_thread");
+    let mut baseline: Option<JoinRunReport> = None;
     scaling_rows(
         repeats,
         |threads| {
@@ -76,12 +81,14 @@ fn scaling_table(
             run(threads)
         },
         |threads, best, speedup, report| {
-            assert_eq!(report.output_records, sequential.output_records);
-            let io_identical = report.partition_io == sequential.partition_io
-                && report.probe_io == sequential.probe_io;
+            let one = baseline.get_or_insert_with(|| report.clone());
+            assert_eq!(one.output_records, expected_output, "{algo}: wrong output");
+            assert_eq!(report.output_records, one.output_records);
+            let io_identical =
+                report.partition_io == one.partition_io && report.probe_io == one.probe_io;
             assert!(
                 io_identical,
-                "{algo}: parallel I/O diverged at {threads} threads"
+                "{algo}: I/O at {threads} threads diverged from one thread"
             );
             println!(
                 "{threads},{best:.4},{speedup:.2},{},{io_identical}",
@@ -89,6 +96,7 @@ fn scaling_table(
             );
         },
     );
+    baseline.expect("the one-worker row")
 }
 
 /// Re-runs one algorithm at 4 workers with the trace recorder on, checks the
@@ -97,20 +105,20 @@ fn scaling_table(
 /// `NOCAP_TRACE` is set).
 fn traced_breakdown(
     algo: &str,
-    sequential: &JoinRunReport,
+    baseline: &JoinRunReport,
     device: &nocap_storage::device::DeviceRef,
     run: impl Fn(&Obs) -> JoinRunReport,
 ) {
     device.reset_stats();
     let obs = Obs::recording();
     let report = run(&obs);
-    assert_eq!(report.output_records, sequential.output_records);
+    assert_eq!(report.output_records, baseline.output_records);
     assert_eq!(
-        report.partition_io, sequential.partition_io,
+        report.partition_io, baseline.partition_io,
         "{algo}: recording must not change the partition-phase I/O"
     );
     assert_eq!(
-        report.probe_io, sequential.probe_io,
+        report.probe_io, baseline.probe_io,
         "{algo}: recording must not change the probe-phase I/O"
     );
     report_trace(algo, &report);
@@ -145,7 +153,7 @@ fn main() {
     let base = base_device();
     // NOCAP_FAULTS layers checksums + retry over a seeded errors-only fault
     // schedule. Recovered faults leave the modeled I/O bit-identical, so
-    // every parallel-vs-sequential assertion below still holds — that
+    // every cross-thread-count assertion below still holds — that
     // invariance under injection is exactly what the smoke run checks.
     let (device, faults) = match faults_seed() {
         Some(seed) => {
@@ -170,43 +178,35 @@ fn main() {
     let spec = JoinSpec::paper_synthetic(record_bytes, buffer_pages);
 
     // ---- NOCAP --------------------------------------------------------
+    let expected = wl.expected_join_output();
     let join = NocapJoin::new(spec, NocapConfig::default());
-    device.reset_stats();
-    let sequential = join.run(&wl.r, &wl.s, &wl.mcvs).expect("sequential run");
-    assert_eq!(sequential.output_records, wl.expected_join_output());
-    scaling_table("NOCAP", &sequential, repeats, &device, |threads| {
-        join.run_parallel(&wl.r, &wl.s, &wl.mcvs, threads)
-            .expect("parallel run")
+    let baseline = scaling_table("NOCAP", expected, repeats, &device, |threads| {
+        join.run_parallel_obs(&wl.r, &wl.s, &wl.mcvs, threads, &Obs::off())
+            .expect("NOCAP run")
     });
-    traced_breakdown("NOCAP", &sequential, &device, |obs| {
+    traced_breakdown("NOCAP", &baseline, &device, |obs| {
         join.run_parallel_obs(&wl.r, &wl.s, &wl.mcvs, 4, obs)
             .expect("traced run")
     });
 
-    // ---- DHH (the strongest baseline, now also parallel) --------------
+    // ---- DHH (the strongest baseline) ---------------------------------
     let dhh = DhhJoin::with_defaults(spec);
-    device.reset_stats();
-    let dhh_sequential = dhh.run(&wl.r, &wl.s, &wl.mcvs).expect("sequential DHH");
-    assert_eq!(dhh_sequential.output_records, wl.expected_join_output());
-    scaling_table("DHH", &dhh_sequential, repeats, &device, |threads| {
-        dhh.run_parallel(&wl.r, &wl.s, &wl.mcvs, threads)
-            .expect("parallel DHH")
+    let baseline = scaling_table("DHH", expected, repeats, &device, |threads| {
+        dhh.run_parallel_obs(&wl.r, &wl.s, &wl.mcvs, threads, &Obs::off())
+            .expect("DHH run")
     });
-    traced_breakdown("DHH", &dhh_sequential, &device, |obs| {
+    traced_breakdown("DHH", &baseline, &device, |obs| {
         dhh.run_parallel_obs(&wl.r, &wl.s, &wl.mcvs, 4, obs)
             .expect("traced DHH")
     });
 
     // ---- SMJ (parallel sort-run generation) ---------------------------
     let smj = SortMergeJoin::new(spec);
-    device.reset_stats();
-    let smj_sequential = smj.run(&wl.r, &wl.s).expect("sequential SMJ");
-    assert_eq!(smj_sequential.output_records, wl.expected_join_output());
-    scaling_table("SMJ", &smj_sequential, repeats, &device, |threads| {
-        smj.run_parallel(&wl.r, &wl.s, threads)
-            .expect("parallel SMJ")
+    let baseline = scaling_table("SMJ", expected, repeats, &device, |threads| {
+        smj.run_parallel_obs(&wl.r, &wl.s, threads, &Obs::off())
+            .expect("SMJ run")
     });
-    traced_breakdown("SMJ", &smj_sequential, &device, |obs| {
+    traced_breakdown("SMJ", &baseline, &device, |obs| {
         smj.run_parallel_obs(&wl.r, &wl.s, 4, obs)
             .expect("traced SMJ")
     });

@@ -9,6 +9,7 @@
 
 use nocap::{NocapConfig, NocapJoin, PlannerConfig};
 use nocap_model::{JoinSpec, RoundedHashParams};
+use nocap_obs::Obs;
 use nocap_storage::SimDevice;
 use nocap_workload::{synthetic, Correlation, SyntheticConfig};
 
@@ -37,7 +38,7 @@ fn main() {
 
         device.reset_stats();
         let rounded = NocapJoin::new(spec, NocapConfig::default())
-            .run(&wl.r, &wl.s, &wl.mcvs)
+            .run_parallel_obs(&wl.r, &wl.s, &wl.mcvs, 1, &Obs::off())
             .expect("NOCAP with rounded hash")
             .total_ios() as f64;
 
@@ -55,7 +56,7 @@ fn main() {
         };
         device.reset_stats();
         let plain = NocapJoin::new(spec, plain_cfg)
-            .run(&wl.r, &wl.s, &wl.mcvs)
+            .run_parallel_obs(&wl.r, &wl.s, &wl.mcvs, 1, &Obs::off())
             .expect("NOCAP with plain hash")
             .total_ios() as f64;
 

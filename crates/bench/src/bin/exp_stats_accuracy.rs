@@ -21,12 +21,13 @@
 //! A second table repeats the comparison for every skew-aware algorithm —
 //! NOCAP, DHH (PostgreSQL-style 2 % triggers) and Histojoin — each planned
 //! once from oracle MCVs and once from the same one-pass sketch summary
-//! (`run_with_collected_stats`), so the sketch-vs-oracle question is
+//! (`run_parallel_with_collected_stats_obs`), so the sketch-vs-oracle question is
 //! answered on equal footing across the whole algorithm lineup.
 
 use nocap::{NocapConfig, NocapJoin};
-use nocap_joins::{DhhConfig, DhhJoin, HistoJoin};
+use nocap_joins::{DhhConfig, DhhJoin};
 use nocap_model::JoinSpec;
+use nocap_obs::Obs;
 use nocap_stats::{StatsCollector, StatsSummary};
 use nocap_storage::{BufferPool, SimDevice};
 use nocap_workload::{synthetic, Correlation, GeneratedWorkload, SyntheticConfig};
@@ -105,7 +106,9 @@ fn main() {
         let pages_r = spec.pages_r(n_r);
 
         device.reset_stats();
-        let oracle_report = join.run(&wl.r, &wl.s, &wl.mcvs).expect("oracle run");
+        let oracle_report = join
+            .run_parallel_obs(&wl.r, &wl.s, &wl.mcvs, 1, &Obs::off())
+            .expect("oracle run");
         let oracle_ios = oracle_report.total_ios();
 
         for &bps in &budget_bps {
@@ -115,7 +118,7 @@ fn main() {
             let summary = collect(&wl, &spec, budget);
             device.reset_stats();
             let report = join
-                .run_with_collected_stats(&wl.r, &wl.s, &summary)
+                .run_parallel_with_collected_stats_obs(&wl.r, &wl.s, &summary, 1, &Obs::off())
                 .expect("sketch run");
             assert_eq!(
                 report.output_records, oracle_report.output_records,
@@ -152,7 +155,7 @@ fn main() {
 
         let nocap = NocapJoin::new(spec, NocapConfig::default());
         let dhh = DhhJoin::new(spec, DhhConfig::default());
-        let histo = HistoJoin::new(spec);
+        let histo = DhhJoin::new(spec, DhhConfig::histojoin());
         let row =
             |algo: &str, oracle: nocap_model::JoinRunReport, sketch: nocap_model::JoinRunReport| {
                 assert_eq!(
@@ -167,24 +170,30 @@ fn main() {
                 );
             };
         device.reset_stats();
-        let o = nocap.run(&wl.r, &wl.s, &wl.mcvs).expect("nocap oracle");
+        let o = nocap
+            .run_parallel_obs(&wl.r, &wl.s, &wl.mcvs, 1, &Obs::off())
+            .expect("nocap oracle");
         device.reset_stats();
         let s = nocap
-            .run_with_collected_stats(&wl.r, &wl.s, &summary)
+            .run_parallel_with_collected_stats_obs(&wl.r, &wl.s, &summary, 1, &Obs::off())
             .expect("nocap sketch");
         row("NOCAP", o, s);
         device.reset_stats();
-        let o = dhh.run(&wl.r, &wl.s, &wl.mcvs).expect("dhh oracle");
+        let o = dhh
+            .run_parallel_obs(&wl.r, &wl.s, &wl.mcvs, 1, &Obs::off())
+            .expect("dhh oracle");
         device.reset_stats();
         let s = dhh
-            .run_with_collected_stats(&wl.r, &wl.s, &summary)
+            .run_parallel_with_collected_stats_obs(&wl.r, &wl.s, &summary, 1, &Obs::off())
             .expect("dhh sketch");
         row("DHH", o, s);
         device.reset_stats();
-        let o = histo.run(&wl.r, &wl.s, &wl.mcvs).expect("histojoin oracle");
+        let o = histo
+            .run_parallel_obs(&wl.r, &wl.s, &wl.mcvs, 1, &Obs::off())
+            .expect("histojoin oracle");
         device.reset_stats();
         let s = histo
-            .run_with_collected_stats(&wl.r, &wl.s, &summary)
+            .run_parallel_with_collected_stats_obs(&wl.r, &wl.s, &summary, 1, &Obs::off())
             .expect("histojoin sketch");
         row("Histojoin", o, s);
     }
@@ -212,7 +221,7 @@ fn main() {
 
         device.reset_stats();
         let oracle_ios = nocap
-            .run(&wl.r, &wl.s, &wl.mcvs)
+            .run_parallel_obs(&wl.r, &wl.s, &wl.mcvs, 1, &Obs::off())
             .expect("oracle run")
             .total_ios();
 
@@ -234,7 +243,7 @@ fn main() {
             assert!(identical, "{name}: summary diverged at {threads} threads");
             device.reset_stats();
             let report = nocap
-                .run_with_collected_stats(&wl.r, &wl.s, &summary)
+                .run_parallel_with_collected_stats_obs(&wl.r, &wl.s, &summary, 1, &Obs::off())
                 .expect("sketch run");
             println!(
                 "{name},{threads},{},{oracle_ios},{:.3},{identical}",

@@ -9,6 +9,7 @@
 use nocap_joins::{GraceHashJoin, NestedBlockJoin, SortMergeJoin};
 use nocap_model::classic_cost::nbj_cost_best;
 use nocap_model::{ghj_cost, smj_cost, JoinSpec};
+use nocap_obs::Obs;
 use nocap_storage::SimDevice;
 use nocap_workload::{synthetic, Correlation, SyntheticConfig};
 
@@ -45,15 +46,21 @@ fn main() {
         let runs: Vec<(&str, f64, nocap_model::JoinRunReport)> = vec![
             ("NBJ", nbj_cost_best(pages_r, pages_s, &spec), {
                 device.reset_stats();
-                NestedBlockJoin::new(spec).run(&wl.r, &wl.s).expect("NBJ")
+                NestedBlockJoin::new(spec)
+                    .run_obs(&wl.r, &wl.s, &Obs::off())
+                    .expect("NBJ")
             }),
             ("GHJ", ghj_cost(pages_r, pages_s, &spec), {
                 device.reset_stats();
-                GraceHashJoin::new(spec).run(&wl.r, &wl.s).expect("GHJ")
+                GraceHashJoin::new(spec)
+                    .run_parallel_obs(&wl.r, &wl.s, 1, &Obs::off())
+                    .expect("GHJ")
             }),
             ("SMJ", smj_cost(pages_r, pages_s, &spec), {
                 device.reset_stats();
-                SortMergeJoin::new(spec).run(&wl.r, &wl.s).expect("SMJ")
+                SortMergeJoin::new(spec)
+                    .run_parallel_obs(&wl.r, &wl.s, 1, &Obs::off())
+                    .expect("SMJ")
             }),
         ];
         for (name, estimated, report) in runs {

@@ -4,9 +4,9 @@
 use std::sync::Arc;
 
 use nocap::{NocapConfig, NocapJoin, OcapConfig};
-use nocap_joins::{DhhConfig, DhhJoin, GraceHashJoin, HistoJoin, SortMergeJoin};
+use nocap_joins::{DhhConfig, DhhJoin, GraceHashJoin, SortMergeJoin};
 use nocap_model::{CorrelationTable, JoinRunReport, JoinSpec};
-use nocap_obs::{ExecutionTrace, IoAudit};
+use nocap_obs::{ExecutionTrace, IoAudit, Obs};
 use nocap_storage::device::DeviceRef;
 use nocap_storage::{
     CheckedDevice, DeviceProfile, FaultDevice, FaultPlan, FileDevice, Relation, RetryPolicy,
@@ -95,32 +95,36 @@ pub fn run_algorithms(
     if set.nocap {
         reset(r);
         let report = NocapJoin::new(*spec, NocapConfig::default())
-            .run(r, s, mcvs)
+            .run_parallel_obs(r, s, mcvs, 1, &Obs::off())
             .expect("NOCAP run");
         push("NOCAP", report);
     }
     if set.dhh {
         reset(r);
         let report = DhhJoin::new(*spec, DhhConfig::default())
-            .run(r, s, mcvs)
+            .run_parallel_obs(r, s, mcvs, 1, &Obs::off())
             .expect("DHH run");
         push("DHH", report);
     }
     if set.histojoin {
         reset(r);
-        let report = HistoJoin::new(*spec)
-            .run(r, s, mcvs)
+        let report = DhhJoin::new(*spec, DhhConfig::histojoin())
+            .run_parallel_obs(r, s, mcvs, 1, &Obs::off())
             .expect("Histojoin run");
         push("Histojoin", report);
     }
     if set.ghj {
         reset(r);
-        let report = GraceHashJoin::new(*spec).run(r, s).expect("GHJ run");
+        let report = GraceHashJoin::new(*spec)
+            .run_parallel_obs(r, s, 1, &Obs::off())
+            .expect("GHJ run");
         push("GHJ", report);
     }
     if set.smj {
         reset(r);
-        let report = SortMergeJoin::new(*spec).run(r, s).expect("SMJ run");
+        let report = SortMergeJoin::new(*spec)
+            .run_parallel_obs(r, s, 1, &Obs::off())
+            .expect("SMJ run");
         push("SMJ", report);
     }
     out

@@ -1,16 +1,14 @@
-//! The NOCAP executor: hybrid partitioning (Algorithms 8 and 9) plus the
+//! The NOCAP operator: hybrid partitioning (Algorithms 8 and 9) plus the
 //! partition-wise probe phase.
 //!
 //! Execution follows the plan produced by [`crate::planner::plan_nocap`]:
 //!
 //! 1. **Partition R** — each R record is routed by key: cached keys go into
 //!    the in-memory hash table, designated keys go to their dedicated spill
-//!    partition, and everything else enters the [`RestPartitioner`], a
-//!    DHH-style partitioner that stages partitions in memory and destages a
-//!    partition once its staged footprint exceeds its fixed quota of the
-//!    residual budget (see [`RestGeometry`] — the quota policy is what
-//!    makes sequential and parallel execution produce identical I/O).
-//!    Residual routing uses the rounded hash of §4.2.
+//!    partition, and everything else is staged in a residual partition that
+//!    is destaged once its staged footprint exceeds its fixed quota of the
+//!    residual budget (see [`RestGeometry`]). Residual routing uses the
+//!    rounded hash of §4.2.
 //! 2. **Partition / probe S** — S records with designated keys are spilled
 //!    to the matching S partition; the rest first probe the in-memory hash
 //!    table (producing output immediately) and, on a miss, are spilled only
@@ -18,23 +16,18 @@
 //! 3. **Probe phase** — every spilled (R, S) partition pair is joined with
 //!    the chunk-wise NBJ of [`nocap_model::pairwise`].
 //!
+//! This module holds the operator, its configuration, the residual
+//! geometry and graceful degradation; the executor body itself — one
+//! procedure for every thread count — lives in [`crate::exec_par`].
+//!
 //! All pages are drawn from a [`BufferPool`] capped at the spec's budget, so
 //! the §4.1 memory breakdown is enforced at run time, not just assumed.
 
-use nocap_model::pairwise::smart_partition_join;
-use nocap_model::{
-    BudgetLadder, DegradedRun, JoinRunReport, JoinSpec, ProbeBloom, RoundedHashParams,
-};
-use nocap_obs::{Obs, Phase};
-use nocap_par::QuotaStager;
-use nocap_stats::{StatsCollector, StatsSummary};
-use nocap_storage::{
-    BufferPool, IoKind, JoinHashTable, PartitionHandle, PartitionWriter, RadixRouter, RecordBatch,
-    RecordLayout, RecordRef, Relation, SpillGuard,
-};
+use nocap_model::{BudgetLadder, DegradedRun, JoinSpec, ProbeBloom, RoundedHashParams};
+use nocap_obs::Obs;
+use nocap_storage::{BufferPool, Relation};
 
-use crate::plan::NocapPlan;
-use crate::planner::{plan_nocap, PlannerConfig};
+use crate::planner::PlannerConfig;
 use crate::rounded_hash::RoundedHash;
 
 /// Configuration of the NOCAP executor.
@@ -71,135 +64,8 @@ impl NocapJoin {
         &self.config
     }
 
-    /// Plans and executes the join of `r ⋈ s` given MCV statistics.
-    pub fn run(
-        &self,
-        r: &Relation,
-        s: &Relation,
-        mcvs: &[(u64, u64)],
-    ) -> nocap_storage::Result<JoinRunReport> {
-        self.run_obs(r, s, mcvs, &Obs::off())
-    }
-
-    /// [`run`](Self::run) with observability: phase spans, skew histograms
-    /// and counters land in the report's `trace` when `obs` is recording.
-    /// The plan is computed before any clock is read — time flows only into
-    /// the obs channel, never into planning or execution decisions.
-    pub fn run_obs(
-        &self,
-        r: &Relation,
-        s: &Relation,
-        mcvs: &[(u64, u64)],
-        obs: &Obs,
-    ) -> nocap_storage::Result<JoinRunReport> {
-        let plan = plan_nocap(
-            mcvs,
-            r.num_records(),
-            s.num_records() as u64,
-            &self.spec,
-            &self.config.planner,
-        );
-        self.run_with_plan_obs(r, s, &plan, obs)
-    }
-
-    /// Plans and executes the join purely from a one-pass sketch summary —
-    /// no `CorrelationTable` oracle anywhere on this path.
-    ///
-    /// The summary's planner statistics stand in for the exact top-k MCVs
-    /// and its exact stream length stands in for `n_S`. On skewed streams
-    /// those statistics are the SpaceSaving counts; on near-uniform streams
-    /// [`StatsSummary::planner_mcvs`] substitutes equi-width histogram
-    /// masses, whose per-key estimates are unbiased where SpaceSaving is
-    /// noise-dominated. This is the deployable configuration: everything
-    /// the planner consumes was produced by `nocap-stats` sketches within a
-    /// bounded page budget.
-    pub fn run_with_collected_stats(
-        &self,
-        r: &Relation,
-        s: &Relation,
-        stats: &StatsSummary,
-    ) -> nocap_storage::Result<JoinRunReport> {
-        self.run_with_collected_stats_obs(r, s, stats, &Obs::off())
-    }
-
-    /// The observed variant of
-    /// [`run_with_collected_stats`](Self::run_with_collected_stats).
-    pub fn run_with_collected_stats_obs(
-        &self,
-        r: &Relation,
-        s: &Relation,
-        stats: &StatsSummary,
-        obs: &Obs,
-    ) -> nocap_storage::Result<JoinRunReport> {
-        let mcvs = stats.planner_mcvs();
-        let plan = plan_nocap(
-            &mcvs,
-            r.num_records(),
-            stats.stream_len(),
-            &self.spec,
-            &self.config.planner,
-        );
-        self.run_with_plan_obs(r, s, &plan, obs)
-    }
-
-    /// The fully self-contained path: scans S once to collect sketch
-    /// statistics (charged against the spec's buffer budget), then plans
-    /// and executes from that summary alone.
-    ///
-    /// Collection runs through the sharded deterministic collector
-    /// ([`StatsCollector::collect_parallel_with_budget`]) at one thread, so
-    /// this is exactly the `threads = 1` instance of
-    /// [`collect_and_run_parallel`](Self::collect_and_run_parallel): the
-    /// whole sketch-plan-execute pipeline produces identical output, plans
-    /// and per-phase I/O at every thread count. `stats_pages` is the
-    /// per-shard-collector budget; the fixed
-    /// [`STATS_SHARDS`](nocap_stats::STATS_SHARDS)-way shard geometry
-    /// multiplies the resident charge (determinism fixes the number of
-    /// sketch sets by the data, not by the worker count).
-    ///
-    /// The extra sequential scan of S shows up in the device's I/O trace —
-    /// statistics are not free, and experiments that account for them should
-    /// use this entry point. Requesting more statistics memory than the
-    /// spec's buffer budget can hold fails with
-    /// [`OutOfMemory`](nocap_storage::StorageError::OutOfMemory) rather than
-    /// being silently clamped.
-    pub fn collect_and_run(
-        &self,
-        r: &Relation,
-        s: &Relation,
-        stats_pages: usize,
-    ) -> nocap_storage::Result<JoinRunReport> {
-        self.collect_and_run_obs(r, s, stats_pages, &Obs::off())
-    }
-
-    /// The observed variant of [`collect_and_run`](Self::collect_and_run):
-    /// the sketch pass shows up as a `stats` phase span alongside the join's
-    /// own phases.
-    pub fn collect_and_run_obs(
-        &self,
-        r: &Relation,
-        s: &Relation,
-        stats_pages: usize,
-        obs: &Obs,
-    ) -> nocap_storage::Result<JoinRunReport> {
-        // Attach before the sketch pass so stats-phase reads land in the
-        // same I/O trace as the join; the inner attach in `run_with_plan_obs`
-        // nests onto this one.
-        let _io_trace = obs.attach_io(s.device());
-        let pool = BufferPool::new(self.spec.buffer_pages);
-        let summary = StatsCollector::collect_parallel_with_budget_obs(
-            &pool,
-            stats_pages,
-            self.spec.page_size,
-            s,
-            1,
-            obs,
-        )?;
-        drop(pool);
-        self.run_with_collected_stats_obs(r, s, &summary, obs)
-    }
-
-    /// [`run`](Self::run) with graceful degradation: when `admission`
+    /// [`run_parallel_obs`](Self::run_parallel_obs) at one thread with
+    /// graceful degradation: when `admission`
     /// cannot grant the spec's budget — or planning/execution fails with
     /// [`OutOfMemory`](nocap_storage::StorageError::OutOfMemory) — the
     /// budget walks down the [`BudgetLadder`] (`B → ¾B → …`) and the join
@@ -207,18 +73,6 @@ impl NocapJoin {
     /// instead of failing. Every step is recorded in the returned
     /// [`DegradedRun`] and, when `obs` records, in the trace counters
     /// `degradation_steps` / `degraded_budget_pages`.
-    pub fn run_degrading(
-        &self,
-        r: &Relation,
-        s: &Relation,
-        mcvs: &[(u64, u64)],
-        admission: &BufferPool,
-        ladder: &BudgetLadder,
-    ) -> nocap_storage::Result<DegradedRun> {
-        self.run_degrading_obs(r, s, mcvs, admission, ladder, &Obs::off())
-    }
-
-    /// The observed variant of [`run_degrading`](Self::run_degrading).
     pub fn run_degrading_obs(
         &self,
         r: &Relation,
@@ -232,263 +86,17 @@ impl NocapJoin {
             // Re-plan at the degraded budget: a smaller B designates fewer
             // keys and spills more, but the plan stays feasible.
             let degraded = NocapJoin::new(self.spec.with_buffer_pages(budget), self.config);
-            degraded.run_obs(r, s, mcvs, obs)
+            degraded.run_parallel_obs(r, s, mcvs, 1, obs)
         })
     }
-
-    /// Executes the join with an explicit, pre-computed plan.
-    pub fn run_with_plan(
-        &self,
-        r: &Relation,
-        s: &Relation,
-        plan: &NocapPlan,
-    ) -> nocap_storage::Result<JoinRunReport> {
-        self.run_with_plan_obs(r, s, plan, &Obs::off())
-    }
-
-    /// [`run_with_plan`](Self::run_with_plan) with observability. The
-    /// recorder is strictly passive: partition routing, destaging and the
-    /// probe order are fixed by the plan and the data, so an observed run
-    /// produces bit-identical output and modeled I/O to a blind one.
-    pub fn run_with_plan_obs(
-        &self,
-        r: &Relation,
-        s: &Relation,
-        plan: &NocapPlan,
-        obs: &Obs,
-    ) -> nocap_storage::Result<JoinRunReport> {
-        let spec = &self.spec;
-        let device = r.device().clone();
-        let _io_trace = obs.attach_io(&device);
-        let pool = BufferPool::new(spec.buffer_pages);
-        // One page streams the input, one buffers the join output.
-        let _io_pages = pool.reserve(2)?;
-        let _fixed = pool.reserve(plan.fixed_memory_pages(spec).min(pool.available()))?;
-        let rest_budget = pool.available();
-        // The probe-side bloom filter is reserved only after the residual
-        // budget is read, so partition geometry and quotas never shift; an
-        // exhausted pool skips the filter instead of failing.
-        let bloom_reservation = self.config.bloom.reserve(&pool);
-
-        let timer = obs.run_timer();
-        let base_stats = device.stats();
-        // Every spill handle is adopted here the moment it is finished, so
-        // an error anywhere below — partitioning, probing, a faulted device
-        // — deletes all spill files on unwind. The guard also replaces the
-        // old success-path delete loops (deletion is not modeled I/O, so
-        // end-of-scope timing is equivalent).
-        let mut spill_guard = SpillGuard::new();
-
-        let mem_set = plan.mem_key_set();
-        let disk_map = plan.disk_map();
-        let m_disk = plan.num_designated();
-
-        // ---- Phase 1: partition R (Algorithm 8) --------------------------
-        let mut ht_mem = JoinHashTable::new(r.layout(), spec.page_size, spec.fudge);
-        let mut r_disk_writers: Vec<PartitionWriter> = (0..m_disk)
-            .map(|_| {
-                PartitionWriter::new(
-                    device.clone(),
-                    r.layout(),
-                    spec.page_size,
-                    IoKind::RandWrite,
-                )
-            })
-            .collect();
-        let mut rest = RestPartitioner::new(
-            device.clone(),
-            *spec,
-            r.layout(),
-            rest_budget,
-            plan.estimated_rest_keys,
-            self.config.planner.rh_params,
-        );
-        let r_partition_span = obs.span(Phase::Partition);
-        let mut r_scan = r.scan();
-        while let Some(page) = r_scan.next_page()? {
-            for rec in page.record_refs() {
-                if mem_set.contains(&rec.key()) {
-                    ht_mem.insert_ref(rec);
-                } else if let Some(&pid) = disk_map.get(&rec.key()) {
-                    r_disk_writers[pid as usize].push_ref(rec)?;
-                } else {
-                    rest.insert(rec)?;
-                }
-            }
-        }
-        drop(r_partition_span);
-        let spill_span = obs.span(Phase::Spill);
-        let rest_build = rest.finish_build()?;
-        spill_guard.adopt_all(rest_build.spilled.iter().flatten().cloned());
-        let r_disk_handles: Vec<PartitionHandle> = r_disk_writers
-            .into_iter()
-            .map(|w| {
-                let h = w.finish()?;
-                spill_guard.adopt(h.clone());
-                Ok(h)
-            })
-            .collect::<nocap_storage::Result<_>>()?;
-        drop(spill_span);
-        {
-            let _build_span = obs.span(Phase::Build);
-            for rec in rest_build.staged_records.iter() {
-                ht_mem.insert_ref(rec);
-            }
-        }
-        // The build side is complete: freeze the table into its vectorized
-        // probe layout and summarize its keys for the probe pre-filter.
-        ht_mem.seal();
-        let bloom = self
-            .config
-            .bloom
-            .build(&ht_mem, &bloom_reservation, spec.page_size);
-
-        // ---- Phase 2: partition / probe S (Algorithm 9) -------------------
-        let mut output = 0u64;
-        let mut s_disk_writers: Vec<PartitionWriter> = (0..m_disk)
-            .map(|_| {
-                PartitionWriter::new(
-                    device.clone(),
-                    s.layout(),
-                    spec.page_size,
-                    IoKind::RandWrite,
-                )
-            })
-            .collect();
-        let mut s_rest_writers: Vec<Option<PartitionWriter>> = rest_build
-            .pob
-            .iter()
-            .map(|&spilled| {
-                spilled.then(|| {
-                    PartitionWriter::new(
-                        device.clone(),
-                        s.layout(),
-                        spec.page_size,
-                        IoKind::RandWrite,
-                    )
-                })
-            })
-            .collect();
-        let s_partition_span = obs.span(Phase::Partition);
-        let mut s_scan = s.scan();
-        while let Some(page) = s_scan.next_page()? {
-            for rec in page.record_refs() {
-                if let Some(&pid) = disk_map.get(&rec.key()) {
-                    s_disk_writers[pid as usize].push_ref(rec)?;
-                    continue;
-                }
-                // A bloom-negative key takes exactly the `matches == 0`
-                // route (the filter has no false negatives), so routing and
-                // modeled I/O are identical with the filter on or off.
-                let matches = if bloom.as_ref().is_none_or(|b| b.may_contain(rec.key())) {
-                    ht_mem.probe_count(rec.key())
-                } else {
-                    0
-                };
-                if matches > 0 {
-                    output += matches;
-                    continue;
-                }
-                let part = rest_build.rh.partition_of(rec.key());
-                if rest_build.pob[part] {
-                    s_rest_writers[part]
-                        .as_mut()
-                        .expect("writer exists for every destaged partition")
-                        .push_ref(rec)?;
-                }
-                // else: the partition stayed in memory and the key had no
-                // match.
-            }
-        }
-        drop(s_partition_span);
-        let partition_io = device.stats().since(&base_stats);
-        record_partition_skew(
-            obs,
-            &r_disk_handles,
-            rest_build.spilled.iter().flatten(),
-            rest_build.pob.len(),
-        );
-
-        // ---- Phase 3: partition-wise joins of everything spilled ----------
-        let probe_base = device.stats();
-        let probe_span = obs.span(Phase::Probe);
-        let s_disk_handles: Vec<PartitionHandle> = s_disk_writers
-            .into_iter()
-            .map(|w| {
-                let h = w.finish()?;
-                spill_guard.adopt(h.clone());
-                Ok(h)
-            })
-            .collect::<nocap_storage::Result<_>>()?;
-        for (r_part, s_part) in r_disk_handles.iter().zip(s_disk_handles.iter()) {
-            output += smart_partition_join(r_part, s_part, spec, 1)?;
-        }
-        for (idx, maybe_r) in rest_build.spilled.iter().enumerate() {
-            let Some(r_part) = maybe_r else { continue };
-            let Some(s_writer) = s_rest_writers[idx].take() else {
-                continue;
-            };
-            let s_part = s_writer.finish()?;
-            spill_guard.adopt(s_part.clone());
-            output += smart_partition_join(r_part, &s_part, spec, 1)?;
-        }
-        drop(probe_span);
-        let probe_io = device.stats().since(&probe_base);
-
-        // Dropping the guard deletes every spill file (not counted as I/O).
-        drop(spill_guard);
-
-        obs.gauge_max("buffer_pool_peak_pages", pool.peak() as u64);
-        let mut report = JoinRunReport::new("NOCAP");
-        report.output_records = output;
-        report.partition_io = partition_io;
-        report.probe_io = probe_io;
-        report.finish_run(timer, obs);
-        Ok(report)
-    }
 }
 
-/// Records the partition-fan-out skew histograms and counters shared by the
-/// sequential and parallel NOCAP executors: per-spilled-partition record and
-/// page counts (designated partitions first, then destaged residuals) plus
-/// the partition-census counters the breakdown tables report.
-pub(crate) fn record_partition_skew<'a>(
-    obs: &Obs,
-    designated: &'a [PartitionHandle],
-    spilled_rest: impl Iterator<Item = &'a PartitionHandle> + Clone,
-    rest_partitions: usize,
-) {
-    if !obs.is_recording() {
-        return;
-    }
-    let handles = || designated.iter().chain(spilled_rest.clone());
-    obs.values("partition_records", handles().map(|h| h.records() as u64));
-    obs.values("partition_pages", handles().map(|h| h.pages() as u64));
-    obs.count("designated_partitions", designated.len() as u64);
-    obs.count("rest_partitions", rest_partitions as u64);
-    obs.count("spilled_rest_partitions", spilled_rest.count() as u64);
-}
-
-/// What the residual partitioner hands back after the R pass.
-pub struct RestBuild {
-    /// Records of partitions that stayed in memory (to be added to the
-    /// in-memory hash table), held in one columnar arena.
-    pub staged_records: RecordBatch,
-    /// Spilled R partitions, indexed by partition id (`None` if that
-    /// partition stayed in memory).
-    pub spilled: Vec<Option<PartitionHandle>>,
-    /// Page-out bits: `true` if the partition was destaged to disk.
-    pub pob: Vec<bool>,
-    /// The router used for R, reused verbatim for S.
-    pub rh: RoundedHash,
-}
-
-/// Geometry of the residual partitioner, shared verbatim by the sequential
-/// [`RestPartitioner`] and the parallel executor
-/// ([`NocapJoin::run_parallel`](crate::exec_par)): partition count, the
-/// rounded-hash router and the per-partition staging quotas. Deriving both
-/// paths from one struct is what makes their partition contents — and
-/// therefore their I/O traces — identical by construction.
+/// Geometry of NOCAP's residual partitions: partition count, the
+/// rounded-hash router and the per-partition staging quotas. The quotas are
+/// fixed before any record is routed, so a partition is destaged iff its
+/// total record count overflows its quota — never depending on scan order
+/// or thread interleaving — which is what makes the executor's partition
+/// contents and I/O trace identical at every thread count.
 #[derive(Debug, Clone)]
 pub struct RestGeometry {
     /// The rounded-hash router over the residual partitions.
@@ -525,107 +133,10 @@ impl RestGeometry {
     }
 }
 
-/// Quota-destaging partitioner for the residual (non-MCV) keys: the
-/// rounded-hash router of [`RestGeometry`] in front of the shared
-/// sequential [`QuotaStager`].
-///
-/// Partitions start staged in memory. Each partition owns a fixed quota of
-/// staging pages carved from the residual budget ([`RestGeometry`]); the
-/// moment a partition's staged footprint exceeds its quota it is destaged
-/// to disk (its POB bit is set) and its memory is reused — every later
-/// record of that partition streams through the spill writer's single
-/// output-buffer page.
-///
-/// This replaces the earlier "destage the largest partition when the global
-/// budget overflows" policy of §2.2. The global policy's outcome depends on
-/// the order records arrive, which no sharded scan can reproduce; the quota
-/// policy destages partition `p` iff `hash_table_pages(n_p) > cap_p` — a
-/// function of the partition's total record count only — so the sequential
-/// and parallel executors destage identical partition sets and the §4.1
-/// bound `Σ staged + spilled buffers ≤ m_rest` still holds at all times.
-pub struct RestPartitioner {
-    geometry: RestGeometry,
-    stager: QuotaStager,
-    /// Cache-line-sized per-partition write buffers in front of the stager:
-    /// records batch up per partition and flush in runs, keeping the hot
-    /// routing loop inside a few cache lines. Per-partition arrival order is
-    /// preserved, so staged contents are byte-identical to direct pushes.
-    router: RadixRouter,
-}
-
-impl RestPartitioner {
-    /// Creates a residual partitioner with `budget_pages` pages of memory and
-    /// an estimate of how many distinct residual keys will arrive (used to
-    /// size the rounded hash).
-    pub fn new(
-        device: nocap_storage::device::DeviceRef,
-        spec: JoinSpec,
-        layout: RecordLayout,
-        budget_pages: usize,
-        estimated_keys: usize,
-        rh_params: RoundedHashParams,
-    ) -> Self {
-        let geometry = RestGeometry::new(&spec, budget_pages, estimated_keys, rh_params);
-        Self::with_geometry(device, spec, layout, geometry)
-    }
-
-    /// Creates a residual partitioner from an explicit geometry.
-    pub fn with_geometry(
-        device: nocap_storage::device::DeviceRef,
-        spec: JoinSpec,
-        layout: RecordLayout,
-        geometry: RestGeometry,
-    ) -> Self {
-        let router = RadixRouter::new(layout, geometry.num_partitions());
-        let stager = QuotaStager::new(device, spec, layout, geometry.caps.clone());
-        RestPartitioner {
-            geometry,
-            stager,
-            router,
-        }
-    }
-
-    /// Number of residual partitions.
-    pub fn num_partitions(&self) -> usize {
-        self.stager.num_partitions()
-    }
-
-    /// Number of partitions destaged to disk so far.
-    pub fn spilled_partitions(&self) -> usize {
-        self.stager.spilled_partitions()
-    }
-
-    /// Current memory use in pages (staged data + spilled output buffers).
-    pub fn pages_in_use(&self) -> usize {
-        self.stager.pages_in_use()
-    }
-
-    /// Routes one borrowed R record to its residual partition (staging is a
-    /// key push plus payload `memcpy` into the partition's arena).
-    pub fn insert(&mut self, rec: RecordRef<'_>) -> nocap_storage::Result<()> {
-        let p = self.geometry.rh.partition_of(rec.key());
-        let stager = &mut self.stager;
-        self.router.push(p, rec, &mut |p, r| stager.insert(p, r))
-    }
-
-    /// Finishes the R pass: remaining staged records go to the caller's
-    /// in-memory hash table, spilled partitions become handles.
-    pub fn finish_build(mut self) -> nocap_storage::Result<RestBuild> {
-        let stager = &mut self.stager;
-        self.router.finish(&mut |p, r| stager.insert(p, r))?;
-        let build = self.stager.finish()?;
-        Ok(RestBuild {
-            staged_records: build.staged_records,
-            spilled: build.spilled,
-            pob: build.pob,
-            rh: self.geometry.rh,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nocap_par::ParallelStager;
     use nocap_storage::{Record, SimDevice};
     use std::collections::HashMap;
 
@@ -671,31 +182,48 @@ mod tests {
         (0..n_r).map(counts).sum()
     }
 
+    /// Runs the join through the executor at one thread, unobserved.
+    fn run(
+        join: &NocapJoin,
+        r: &Relation,
+        s: &Relation,
+        mcvs: &[(u64, u64)],
+    ) -> nocap_storage::Result<nocap_model::JoinRunReport> {
+        join.run_parallel_obs(r, s, mcvs, 1, &Obs::off())
+    }
+
+    /// Stages keys `0..n` through the residual geometry's router into a
+    /// one-worker [`ParallelStager`] carrying the geometry's quotas, asserting
+    /// the budget after every insert; returns the finished build and the
+    /// number of destaged partitions.
+    fn stage_residuals(
+        device: nocap_storage::device::DeviceRef,
+        spec: JoinSpec,
+        budget: usize,
+        n: u64,
+    ) -> (nocap_par::StagerBuild, usize) {
+        let geometry = RestGeometry::new(&spec, budget, n as usize, RoundedHashParams::default());
+        let stager = ParallelStager::new(device, spec.r_layout, spec, geometry.caps.clone());
+        let mut stage = stager.worker_stage();
+        for k in 0..n {
+            let rec = Record::with_fill(k, 120, 0);
+            let p = geometry.rh.partition_of(k);
+            stager.insert(&mut stage, p, rec.as_record_ref()).unwrap();
+            assert!(
+                stager.pages_in_use() <= budget,
+                "residual staging exceeded its page budget"
+            );
+        }
+        let spilled = stager.spilled_partitions();
+        (stager.finish(vec![stage]).unwrap(), spilled)
+    }
+
     #[test]
     fn rest_partitioner_respects_its_budget() {
         let device = SimDevice::new_ref();
         let spec = JoinSpec::paper_synthetic(128, 16);
-        let mut rest = RestPartitioner::new(
-            device.clone(),
-            spec,
-            spec.r_layout,
-            8,
-            5_000,
-            RoundedHashParams::default(),
-        );
-        for k in 0..5_000u64 {
-            let rec = Record::with_fill(k, 120, 0);
-            rest.insert(rec.as_record_ref()).unwrap();
-            assert!(
-                rest.pages_in_use() <= 8,
-                "rest partitioner exceeded its page budget"
-            );
-        }
-        assert!(
-            rest.spilled_partitions() > 0,
-            "a 5K-record build cannot stay in 8 pages"
-        );
-        let build = rest.finish_build().unwrap();
+        let (build, spilled) = stage_residuals(device, spec, 8, 5_000);
+        assert!(spilled > 0, "a 5K-record build cannot stay in 8 pages");
         let spilled_records: usize = build.spilled.iter().flatten().map(|h| h.records()).sum();
         assert_eq!(spilled_records + build.staged_records.len(), 5_000);
     }
@@ -704,20 +232,8 @@ mod tests {
     fn rest_partitioner_stays_in_memory_when_budget_allows() {
         let device = SimDevice::new_ref();
         let spec = JoinSpec::paper_synthetic(128, 256);
-        let mut rest = RestPartitioner::new(
-            device.clone(),
-            spec,
-            spec.r_layout,
-            200,
-            1_000,
-            RoundedHashParams::default(),
-        );
-        for k in 0..1_000u64 {
-            let rec = Record::with_fill(k, 120, 0);
-            rest.insert(rec.as_record_ref()).unwrap();
-        }
-        assert_eq!(rest.spilled_partitions(), 0);
-        let build = rest.finish_build().unwrap();
+        let (build, spilled) = stage_residuals(device.clone(), spec, 200, 1_000);
+        assert_eq!(spilled, 0);
         assert_eq!(build.staged_records.len(), 1_000);
         assert_eq!(
             device.stats().writes(),
@@ -734,7 +250,7 @@ mod tests {
         let (r, s, mcvs) = build_workload(device.clone(), &spec, 2_000, counts);
         device.reset_stats();
         let join = NocapJoin::new(spec, NocapConfig::default());
-        let report = join.run(&r, &s, &mcvs).unwrap();
+        let report = run(&join, &r, &s, &mcvs).unwrap();
         assert_eq!(report.output_records, expected_output(2_000, counts));
         assert!(report.total_ios() > 0);
     }
@@ -747,7 +263,7 @@ mod tests {
         let (r, s, mcvs) = build_workload(device.clone(), &spec, 3_000, counts);
         device.reset_stats();
         let join = NocapJoin::new(spec, NocapConfig::default());
-        let report = join.run(&r, &s, &mcvs).unwrap();
+        let report = run(&join, &r, &s, &mcvs).unwrap();
         assert_eq!(report.output_records, expected_output(3_000, counts));
     }
 
@@ -760,7 +276,7 @@ mod tests {
         let (r, s, mcvs) = build_workload(device.clone(), &spec, 2_000, counts);
         device.reset_stats();
         let join = NocapJoin::new(spec, NocapConfig::default());
-        let report = join.run(&r, &s, &mcvs).unwrap();
+        let report = run(&join, &r, &s, &mcvs).unwrap();
         assert_eq!(report.output_records, expected_output(2_000, counts));
         // Only the base scans: no spill writes at all.
         assert_eq!(report.total_io().writes(), 0);
@@ -781,7 +297,7 @@ mod tests {
             let spec = spec_small.with_buffer_pages(budget);
             device.reset_stats();
             let join = NocapJoin::new(spec, NocapConfig::default());
-            let report = join.run(&r, &s, &mcvs).unwrap();
+            let report = run(&join, &r, &s, &mcvs).unwrap();
             assert_eq!(report.output_records, expected_output(4_000, counts));
             assert!(
                 report.total_ios() <= previous,
@@ -803,7 +319,7 @@ mod tests {
         // Roomy admission: first-try success, same result as a plain run.
         let roomy = nocap_storage::BufferPool::new(256);
         let run = join
-            .run_degrading(&r, &s, &mcvs, &roomy, &BudgetLadder::default())
+            .run_degrading_obs(&r, &s, &mcvs, &roomy, &BudgetLadder::default(), &Obs::off())
             .unwrap();
         assert_eq!(run.steps(), 0);
         assert_eq!(run.budget_pages, 64);
@@ -813,7 +329,7 @@ mod tests {
         // Tight admission (37 pages): 64 and 48 are rejected, 36 runs.
         let tight = nocap_storage::BufferPool::new(37);
         let degraded = join
-            .run_degrading(&r, &s, &mcvs, &tight, &BudgetLadder::default())
+            .run_degrading_obs(&r, &s, &mcvs, &tight, &BudgetLadder::default(), &Obs::off())
             .unwrap();
         assert_eq!(degraded.budget_pages, 36);
         assert_eq!(degraded.steps(), 2);
@@ -831,7 +347,14 @@ mod tests {
         // Admission below the ladder floor: a clean error, nothing leaked.
         let hopeless = nocap_storage::BufferPool::new(2);
         let err = join
-            .run_degrading(&r, &s, &mcvs, &hopeless, &BudgetLadder::default())
+            .run_degrading_obs(
+                &r,
+                &s,
+                &mcvs,
+                &hopeless,
+                &BudgetLadder::default(),
+                &Obs::off(),
+            )
             .expect_err("the floor cannot be granted");
         assert!(matches!(
             err,
@@ -859,7 +382,7 @@ mod tests {
         }
         device.reset_stats();
         let join = NocapJoin::new(spec, NocapConfig::default());
-        let report = join.run(&r, &s, &mcvs).unwrap();
+        let report = run(&join, &r, &s, &mcvs).unwrap();
         assert_eq!(report.output_records, expected);
     }
 }

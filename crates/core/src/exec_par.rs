@@ -1,11 +1,12 @@
-//! Multi-threaded NOCAP execution: `run_parallel`.
+//! The NOCAP executor body (Algorithms 8 and 9) and its entry points.
 //!
-//! The partitioning passes of Algorithms 8 and 9 route each record
-//! independently, so [`NocapJoin::run_parallel`] shards both scans across a
-//! worker pool (`nocap-par`) and fans the partition-wise probe phase out
-//! over the spilled partition pairs. The engine is built so that, for
-//! every thread count, it produces **the same join output and the same
-//! modeled I/O trace** as the sequential [`NocapJoin::run_with_plan`]:
+//! There is one executor for every thread count; `threads = 1` is the
+//! sequential run. The partitioning passes route each record
+//! independently, so [`NocapJoin::run_parallel_with_plan_obs`] shards both
+//! scans across a worker pool (`nocap-par`) and fans the partition-wise
+//! probe phase out over the spilled partition pairs. It is built so that
+//! **the join output and the modeled I/O trace do not depend on the thread
+//! count**:
 //!
 //! * Workers scan disjoint page ranges ([`page_shards`]), so the base scans
 //!   cost exactly `‖R‖ + ‖S‖` sequential reads.
@@ -19,17 +20,17 @@
 //!   [`smart_partition_join`]; each pair's I/O is independent of the order
 //!   pairs are claimed from the work queue.
 //!
-//! During the partitioning phases memory stays inside the same §4.1
-//! budget: the pool reserves the two streaming pages and the plan's fixed
-//! structures exactly as the sequential path does, and the residual budget
-//! is carved into per-partition quotas whose reservations are visible in
-//! the pool. Two knowing simplifications: each worker holds one transient
-//! scan-buffer page (the model charges one logical input page for the
-//! pipeline, as the paper does), and the fanned-out probe phase runs up to
-//! `threads` partition-pair NBJs concurrently, each with the `B − 2`-page
-//! chunk the cost model prescribes — peak physical probe memory is
-//! `threads × B` pages even though the modeled I/O is unchanged. Use fewer
-//! threads when physical memory, not I/O, is the binding constraint.
+//! During the partitioning phases memory stays inside the §4.1 budget: the
+//! pool reserves the two streaming pages and the plan's fixed structures,
+//! and the residual budget is carved into per-partition quotas whose
+//! reservations are visible in the pool. Two knowing simplifications: each
+//! worker holds one transient scan-buffer page (the model charges one
+//! logical input page for the pipeline, as the paper does), and the
+//! fanned-out probe phase runs up to `threads` partition-pair NBJs
+//! concurrently, each with the `B − 2`-page chunk the cost model prescribes
+//! — peak physical probe memory is `threads × B` pages even though the
+//! modeled I/O is unchanged. Use fewer threads when physical memory, not
+//! I/O, is the binding constraint.
 
 use std::sync::Mutex;
 
@@ -37,13 +38,13 @@ use nocap_model::pairwise::smart_partition_join;
 use nocap_model::JoinRunReport;
 use nocap_obs::{Obs, Phase};
 use nocap_par::{page_shards, run_workers_obs, sum_tasks_obs, ParallelStager, SharedWriterSet};
-use nocap_stats::StatsCollector;
+use nocap_stats::{StatsCollector, StatsSummary};
 use nocap_storage::{
     into_inner_unpoisoned, lock_unpoisoned, BufferPool, IoKind, JoinHashTable, PartitionHandle,
     RadixRouter, Relation, Reservation, SpillGuard,
 };
 
-use crate::exec::{record_partition_skew, NocapJoin, RestGeometry};
+use crate::exec::{NocapJoin, RestGeometry};
 use crate::plan::NocapPlan;
 use crate::planner::plan_nocap;
 
@@ -52,21 +53,9 @@ impl NocapJoin {
     ///
     /// `threads == 0` selects [`nocap_par::default_threads`] (the
     /// `NOCAP_THREADS` environment variable, falling back to the machine's
-    /// parallelism). For every thread count the result — output cardinality
-    /// and the full per-phase I/O trace — is identical to [`NocapJoin::run`].
-    pub fn run_parallel(
-        &self,
-        r: &Relation,
-        s: &Relation,
-        mcvs: &[(u64, u64)],
-        threads: usize,
-    ) -> nocap_storage::Result<JoinRunReport> {
-        self.run_parallel_obs(r, s, mcvs, threads, &Obs::off())
-    }
-
-    /// [`run_parallel`](Self::run_parallel) with observability — see
-    /// [`run_obs`](Self::run_obs). Worker scans and probe tasks additionally
-    /// record per-worker timeline spans.
+    /// parallelism). The plan is computed before any clock is read; with a
+    /// recording `obs`, phase spans, per-worker timelines, skew histograms
+    /// and counters land in the report's `trace`.
     pub fn run_parallel_obs(
         &self,
         r: &Relation,
@@ -85,28 +74,22 @@ impl NocapJoin {
         self.run_parallel_with_plan_obs(r, s, &plan, threads, obs)
     }
 
-    /// Plans from a one-pass sketch summary and executes on `threads`
-    /// worker threads — the parallel twin of
-    /// [`run_with_collected_stats`](Self::run_with_collected_stats)
-    /// (identical plan, since the summary is the same artifact; identical
-    /// output and per-phase I/O for every thread count).
-    pub fn run_parallel_with_collected_stats(
-        &self,
-        r: &Relation,
-        s: &Relation,
-        stats: &nocap_stats::StatsSummary,
-        threads: usize,
-    ) -> nocap_storage::Result<JoinRunReport> {
-        self.run_parallel_with_collected_stats_obs(r, s, stats, threads, &Obs::off())
-    }
-
-    /// The observed variant of
-    /// [`run_parallel_with_collected_stats`](Self::run_parallel_with_collected_stats).
+    /// Plans and executes the join purely from a one-pass sketch summary —
+    /// no `CorrelationTable` oracle anywhere on this path.
+    ///
+    /// The summary's planner statistics stand in for the exact top-k MCVs
+    /// and its exact stream length stands in for `n_S`. On skewed streams
+    /// those statistics are the SpaceSaving counts; on near-uniform streams
+    /// [`StatsSummary::planner_mcvs`] substitutes equi-width histogram
+    /// masses, whose per-key estimates are unbiased where SpaceSaving is
+    /// noise-dominated. This is the deployable configuration: everything
+    /// the planner consumes was produced by `nocap-stats` sketches within a
+    /// bounded page budget.
     pub fn run_parallel_with_collected_stats_obs(
         &self,
         r: &Relation,
         s: &Relation,
-        stats: &nocap_stats::StatsSummary,
+        stats: &StatsSummary,
         threads: usize,
         obs: &Obs,
     ) -> nocap_storage::Result<JoinRunReport> {
@@ -121,32 +104,19 @@ impl NocapJoin {
         self.run_parallel_with_plan_obs(r, s, &plan, threads, obs)
     }
 
-    /// The fully self-contained multi-threaded pipeline: sharded sketch
-    /// collection over S ([`StatsCollector::collect_parallel_with_budget`]),
-    /// planning from the summary alone, and parallel execution — every
-    /// stage on `threads` workers.
+    /// The fully self-contained pipeline: sharded sketch collection over S
+    /// ([`StatsCollector::collect_parallel_with_budget_obs`]), planning from
+    /// the summary alone, and execution — every stage on `threads` workers.
     ///
-    /// Because the sharded collector's summary is bit-identical for every
-    /// thread count, the plan — and therefore the executor's output *and*
-    /// per-phase modeled I/O — is identical to the sequential
-    /// [`collect_and_run`](Self::collect_and_run) for every `threads`,
-    /// including the statistics scan itself (each page of S is read exactly
-    /// once). `stats_pages` is the per-shard-collector budget, as in
-    /// `collect_and_run`.
-    pub fn collect_and_run_parallel(
-        &self,
-        r: &Relation,
-        s: &Relation,
-        stats_pages: usize,
-        threads: usize,
-    ) -> nocap_storage::Result<JoinRunReport> {
-        self.collect_and_run_parallel_obs(r, s, stats_pages, threads, &Obs::off())
-    }
-
-    /// The observed variant of
-    /// [`collect_and_run_parallel`](Self::collect_and_run_parallel): the
-    /// sharded sketch pass records a `stats` phase span and per-shard worker
-    /// spans into the same trace as the join.
+    /// The sharded collector's summary is bit-identical for every thread
+    /// count, so the plan, the output and the per-phase modeled I/O are too.
+    /// `stats_pages` is the per-shard-collector budget; the fixed
+    /// [`STATS_SHARDS`](nocap_stats::STATS_SHARDS)-way shard geometry
+    /// multiplies the resident charge. The extra scan of S shows up in the
+    /// device's I/O trace (each page is read exactly once) and as a `stats`
+    /// phase span; requesting more statistics memory than the spec's buffer
+    /// budget holds fails with
+    /// [`OutOfMemory`](nocap_storage::StorageError::OutOfMemory).
     pub fn collect_and_run_parallel_obs(
         &self,
         r: &Relation,
@@ -172,21 +142,10 @@ impl NocapJoin {
         self.run_parallel_with_collected_stats_obs(r, s, &summary, threads, obs)
     }
 
-    /// Executes a pre-computed plan on `threads` worker threads (see
-    /// [`run_parallel`](Self::run_parallel)).
-    pub fn run_parallel_with_plan(
-        &self,
-        r: &Relation,
-        s: &Relation,
-        plan: &NocapPlan,
-        threads: usize,
-    ) -> nocap_storage::Result<JoinRunReport> {
-        self.run_parallel_with_plan_obs(r, s, plan, threads, &Obs::off())
-    }
-
-    /// [`run_parallel_with_plan`](Self::run_parallel_with_plan) with
-    /// observability: main-thread phase spans around each pass, per-worker
-    /// scan spans, per-task probe spans, partition skew histograms and the
+    /// Executes a pre-computed plan on `threads` worker threads — the NOCAP
+    /// executor body every other entry point ends in. With a recording
+    /// `obs`: main-thread phase spans around each pass, per-worker scan
+    /// spans, per-task probe spans, partition skew histograms and the
     /// buffer-pool high-water gauge. Recording never influences routing,
     /// destaging or claim order — clocks stay in the obs channel.
     pub fn run_parallel_with_plan_obs(
@@ -206,17 +165,16 @@ impl NocapJoin {
         let device = r.device().clone();
         let _io_trace = obs.attach_io(&device);
         let pool = BufferPool::new(spec.buffer_pages);
-        // Identical budget breakdown to the sequential path: one streaming
-        // input page, one output page, then the plan's fixed structures.
+        // The §4.1 budget breakdown: one streaming input page, one output
+        // page, then the plan's fixed structures.
         let _io_pages = pool.reserve(2)?;
         let _fixed = pool.reserve(plan.fixed_memory_pages(&spec).min(pool.available()))?;
         let rest_budget = pool.available();
         // Reserve the probe-side bloom *after* reading the residual budget
-        // (so geometry matches the sequential path) and *before* the quota
-        // carving below consumes every remaining page. Both executors read
-        // the same `pool.available()` here, so the filter is sized
-        // identically and its bits depend only on the staged key multiset —
-        // thread-count invariant.
+        // (so partition geometry and quotas never shift) and *before* the
+        // quota carving below consumes every remaining page; an exhausted
+        // pool skips the filter instead of failing. Its bits depend only on
+        // the staged key multiset — thread-count invariant.
         let bloom_reservation = self.config().bloom.reserve(&pool);
 
         let timer = obs.run_timer();
@@ -278,8 +236,9 @@ impl NocapJoin {
         drop(r_partition_span);
         let spill_span = obs.span(Phase::Spill);
         let rest_build = stager.finish(stages)?;
-        // As in the sequential executor: every finished spill handle is
-        // adopted immediately, so any later error deletes all spill files.
+        // Every finished spill handle is adopted immediately, so an error
+        // anywhere below — probing, a faulted device — deletes all spill
+        // files on unwind.
         let mut spill_guard = SpillGuard::new();
         spill_guard.adopt_all(rest_build.spilled.iter().flatten().cloned());
         let r_disk_handles = r_disk.finish_dense()?;
@@ -362,8 +321,7 @@ impl NocapJoin {
         );
 
         // ---- Phase 3: partition-wise joins, fanned out -------------------
-        // Partial output-buffer pages flush inside this window, exactly
-        // where the sequential executor flushes them.
+        // Partial output-buffer pages flush inside this probe window.
         let probe_base = device.stats();
         let probe_span = obs.span(Phase::Probe);
         let s_disk_handles = s_disk.finish_dense()?;
@@ -398,12 +356,34 @@ impl NocapJoin {
     }
 }
 
+/// Records NOCAP's partition-fan-out skew histograms and counters:
+/// per-spilled-partition record and page counts (designated partitions
+/// first, then destaged residuals) plus the partition-census counters the
+/// breakdown tables report.
+fn record_partition_skew<'a>(
+    obs: &Obs,
+    designated: &'a [PartitionHandle],
+    spilled_rest: impl Iterator<Item = &'a PartitionHandle> + Clone,
+    rest_partitions: usize,
+) {
+    if !obs.is_recording() {
+        return;
+    }
+    let handles = || designated.iter().chain(spilled_rest.clone());
+    obs.values("partition_records", handles().map(|h| h.records() as u64));
+    obs.values("partition_pages", handles().map(|h| h.pages() as u64));
+    obs.count("designated_partitions", designated.len() as u64);
+    obs.count("rest_partitions", rest_partitions as u64);
+    obs.count("spilled_rest_partitions", spilled_rest.count() as u64);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::exec::NocapConfig;
+    use nocap_joins::testutil::{assert_parallel_equivalence, pinned_report};
     use nocap_model::JoinSpec;
-    use nocap_storage::{Record, RecordLayout, SimDevice};
+    use nocap_storage::{Record, SimDevice};
 
     /// Builds a deterministic workload on a fresh device: R holds keys
     /// `0..n_r`, S holds `counts(k)` records per key, shuffled.
@@ -443,35 +423,21 @@ mod tests {
         (r, s, mcv)
     }
 
-    fn layout_of(spec: &JoinSpec) -> RecordLayout {
-        spec.r_layout
-    }
-
     #[test]
     fn parallel_matches_sequential_io_and_output_exactly() {
         let spec = JoinSpec::paper_synthetic(128, 48);
         let counts = |k: u64| if k < 8 { 250 } else { 2 };
         let join = NocapJoin::new(spec, NocapConfig::default());
-        let _ = layout_of(&spec);
-
-        let (r, s, mcvs) = build(3_000, counts, &spec);
-        let sequential = join.run(&r, &s, &mcvs).unwrap();
-        for threads in [1usize, 2, 4] {
-            let (r, s, mcvs) = build(3_000, counts, &spec);
-            let parallel = join.run_parallel(&r, &s, &mcvs, threads).unwrap();
-            assert_eq!(
-                parallel.output_records, sequential.output_records,
-                "output differs at {threads} threads"
-            );
-            assert_eq!(
-                parallel.partition_io, sequential.partition_io,
-                "partition I/O differs at {threads} threads"
-            );
-            assert_eq!(
-                parallel.probe_io, sequential.probe_io,
-                "probe I/O differs at {threads} threads"
-            );
-        }
+        assert_parallel_equivalence(
+            "nocap/skewed",
+            &[1, 2, 4],
+            &pinned_report(7_984, [355, 0, 0, 276], [279, 0, 0, 3]),
+            |threads| {
+                let (r, s, mcvs) = build(3_000, counts, &spec);
+                join.run_parallel_obs(&r, &s, &mcvs, threads, &Obs::off())
+                    .unwrap()
+            },
+        );
     }
 
     #[test]
@@ -481,7 +447,9 @@ mod tests {
         let join = NocapJoin::new(spec, NocapConfig::default());
         let (r, s, mcvs) = build(2_500, counts, &spec);
         let device = r.device().clone();
-        let report = join.run_parallel(&r, &s, &mcvs, 3).unwrap();
+        let report = join
+            .run_parallel_obs(&r, &s, &mcvs, 3, &Obs::off())
+            .unwrap();
         assert!(report.output_records > 0);
         // Only the two base relations should remain on the device.
         let sim = device;
@@ -493,30 +461,21 @@ mod tests {
 
     #[test]
     fn sketch_pipeline_is_identical_at_every_thread_count() {
-        // collect_and_run_parallel(n) must reproduce collect_and_run (its
-        // n = 1 instance) exactly: the sharded summary is thread-count
-        // invariant, so the plan, the output and the per-phase I/O all are.
+        // The sharded summary is thread-count invariant, so the plan, the
+        // output and the per-phase I/O all are.
         let spec = JoinSpec::paper_synthetic(128, 48);
         let counts = |k: u64| if k < 12 { 180 } else { 3 };
         let join = NocapJoin::new(spec, NocapConfig::default());
-        let (r, s, _) = build(2_500, counts, &spec);
-        let sequential = join.collect_and_run(&r, &s, 4).unwrap();
-        for threads in [1usize, 2, 4, 8] {
-            let (r, s, _) = build(2_500, counts, &spec);
-            let parallel = join.collect_and_run_parallel(&r, &s, 4, threads).unwrap();
-            assert_eq!(
-                parallel.output_records, sequential.output_records,
-                "pipeline output differs at {threads} threads"
-            );
-            assert_eq!(
-                parallel.partition_io, sequential.partition_io,
-                "pipeline partition I/O differs at {threads} threads"
-            );
-            assert_eq!(
-                parallel.probe_io, sequential.probe_io,
-                "pipeline probe I/O differs at {threads} threads"
-            );
-        }
+        assert_parallel_equivalence(
+            "nocap/sketch-pipeline",
+            &[1, 2, 4, 8],
+            &pinned_report(9_624, [392, 0, 0, 303], [305, 0, 0, 2]),
+            |threads| {
+                let (r, s, _) = build(2_500, counts, &spec);
+                join.collect_and_run_parallel_obs(&r, &s, 4, threads, &Obs::off())
+                    .unwrap()
+            },
+        );
     }
 
     #[test]
@@ -527,7 +486,9 @@ mod tests {
         let (r, s, _) = build(2_000, counts, &spec);
         let device = r.device().clone();
         device.reset_stats();
-        let report = join.collect_and_run_parallel(&r, &s, 4, 4).unwrap();
+        let report = join
+            .collect_and_run_parallel_obs(&r, &s, 4, 4, &Obs::off())
+            .unwrap();
         let device_ios = device.stats().reads() + device.stats().writes();
         // The statistics scan costs exactly ||S|| sequential reads on top
         // of the join's own modeled I/O, sharded or not.
@@ -544,7 +505,9 @@ mod tests {
         let counts = |_k: u64| 3u64;
         let join = NocapJoin::new(spec, NocapConfig::default());
         let (r, s, mcvs) = build(1_000, counts, &spec);
-        let report = join.run_parallel(&r, &s, &mcvs, 0).unwrap();
+        let report = join
+            .run_parallel_obs(&r, &s, &mcvs, 0, &Obs::off())
+            .unwrap();
         assert_eq!(report.output_records, 3_000);
     }
 }

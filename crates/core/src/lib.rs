@@ -17,22 +17,23 @@
 //!   `K_rest`, subject to the strict §4.1 memory breakdown.
 //! * [`rounded_hash`] — the rounded hash function of §4.2 that keeps most
 //!   residual partitions an exact multiple of the NBJ chunk size.
-//! * [`exec`] — the hybrid partitioning executor (Algorithms 8 and 9): runs
-//!   a [`NocapPlan`] against real [`Relation`](nocap_storage::Relation)s on
-//!   a [`BlockDevice`](nocap_storage::BlockDevice), then joins the spilled
-//!   partition pairs, producing a measured
-//!   [`JoinRunReport`](nocap_model::JoinRunReport).
-//! * [`exec_par`] — the multi-threaded entry points
-//!   ([`NocapJoin::run_parallel`]): sharded partitioning scans and a
-//!   fanned-out probe phase on the `nocap-par` worker pool, producing the
-//!   same output and the same modeled I/O as the sequential executor for
-//!   every thread count.
+//! * [`exec`] — the NOCAP operator (Algorithms 8 and 9): its configuration,
+//!   the residual-partition geometry and graceful degradation.
+//! * [`exec_par`] — the executor body and its entry points
+//!   ([`NocapJoin::run_parallel_obs`] and friends): runs a [`NocapPlan`]
+//!   against real [`Relation`](nocap_storage::Relation)s on a
+//!   [`BlockDevice`](nocap_storage::BlockDevice) with sharded partitioning
+//!   scans and a fanned-out probe phase on the `nocap-par` worker pool,
+//!   producing a measured [`JoinRunReport`](nocap_model::JoinRunReport)
+//!   whose output and modeled I/O are the same for every thread count
+//!   (`threads = 1` is the sequential run).
 //! * [`plan`] — the [`NocapPlan`] data structure shared by the planner and
 //!   the executor.
 //!
 //! ```
 //! use nocap::{NocapConfig, NocapJoin};
 //! use nocap_model::{CorrelationTable, JoinSpec};
+//! use nocap_obs::Obs;
 //! use nocap_storage::{Record, RecordLayout, Relation, SimDevice};
 //!
 //! // A tiny skewed workload: key 0 matches 50 S records, the others 1 each.
@@ -64,7 +65,7 @@
 //!
 //! device.reset_stats();
 //! let join = NocapJoin::new(spec, NocapConfig::default());
-//! let report = join.run(&r, &s, &mcvs).unwrap();
+//! let report = join.run_parallel_obs(&r, &s, &mcvs, 1, &Obs::off()).unwrap();
 //! assert_eq!(report.output_records, 149);
 //! ```
 

@@ -20,8 +20,10 @@
 //! destaged the moment its own staged footprint exceeds that share — a
 //! function of the partition's total record count only. The destaged set is
 //! therefore identical for any scan order or thread interleaving, which is
-//! what unblocks a future `DhhJoin::run_parallel`; total staged pages plus
-//! one output buffer per destaged partition still never exceed the budget.
+//! what lets one executor body, [`DhhJoin::run_parallel_obs`], serve every
+//! thread count (`threads = 1` is the sequential run); total staged pages
+//! plus one output buffer per destaged partition still never exceed the
+//! budget.
 //!
 //! **Skew optimization.** Practical systems (PostgreSQL, Histojoin) add a
 //! small dedicated hash table for the most common values: if the tracked
@@ -29,7 +31,9 @@
 //! are pinned in memory using at most `skew_memory_fraction · B` pages. Both
 //! thresholds are fixed constants in deployed systems (2 % each); they are
 //! constructor parameters here so that Figure 11's sensitivity sweep can be
-//! reproduced.
+//! reproduced. Histojoin (Cutt & Lawrence) is the same executor with a zero
+//! trigger threshold — the paper's configuration — so it is a preset,
+//! [`DhhConfig::histojoin`], not a separate operator.
 
 use std::collections::HashSet;
 use std::sync::Mutex;
@@ -39,14 +43,12 @@ use nocap_model::{BudgetLadder, DegradedRun, JoinRunReport, JoinSpec, ProbeBloom
 use nocap_obs::{Obs, Phase};
 use nocap_par::{
     default_threads, even_caps, page_shards, run_workers_obs, sum_tasks_obs, ParallelStager,
-    QuotaStager, SharedWriterSet,
+    SharedWriterSet,
 };
 use nocap_stats::StatsSummary;
-use nocap_storage::device::DeviceRef;
 use nocap_storage::{
     into_inner_unpoisoned, lock_unpoisoned, BufferPool, IoKind, JoinHashTable, PartitionHandle,
-    PartitionWriter, RadixRouter, RecordBatch, RecordLayout, RecordRef, Relation, Reservation,
-    SpillGuard,
+    RadixRouter, Relation, Reservation, SpillGuard,
 };
 
 /// SplitMix64 hash for partition routing (the shared workspace key hash).
@@ -76,7 +78,9 @@ impl Default for DhhConfig {
 }
 
 impl DhhConfig {
-    /// The Histojoin configuration: always trigger the skew optimization.
+    /// The Histojoin preset (Cutt & Lawrence, as the paper configures it):
+    /// a 2 % skew-table budget and a zero trigger threshold, so the skew
+    /// optimization always fires.
     pub fn histojoin() -> Self {
         DhhConfig {
             skew_memory_fraction: 0.02,
@@ -125,208 +129,14 @@ impl DhhJoin {
         DhhJoin::new(spec, DhhConfig::default())
     }
 
-    /// Executes `r ⋈ s` with statistics from a one-pass sketch summary
-    /// instead of the oracle MCV list — the same deployable configuration
-    /// `NocapJoin::run_with_collected_stats` uses, so `exp_stats_accuracy`
-    /// compares every skew-aware algorithm on equal (sketched) footing.
-    ///
-    /// The skew optimization consumes [`StatsSummary::planner_mcvs`]: raw
-    /// SpaceSaving counts on skewed streams, histogram-backed masses on
-    /// near-uniform ones (where the raw counts are noise-dominated and
-    /// would trip the 2 % frequency trigger spuriously).
-    pub fn run_with_collected_stats(
-        &self,
-        r: &Relation,
-        s: &Relation,
-        stats: &StatsSummary,
-    ) -> nocap_storage::Result<JoinRunReport> {
-        self.run_with_collected_stats_obs(r, s, stats, &Obs::off())
-    }
-
-    /// [`run_with_collected_stats`](Self::run_with_collected_stats) with an
-    /// observability channel.
-    pub fn run_with_collected_stats_obs(
-        &self,
-        r: &Relation,
-        s: &Relation,
-        stats: &StatsSummary,
-        obs: &Obs,
-    ) -> nocap_storage::Result<JoinRunReport> {
-        self.run_obs(r, s, &stats.planner_mcvs(), obs)
-    }
-
-    /// Executes `r ⋈ s`. `mcvs` are the tracked most-common-value statistics
-    /// (`(key, frequency)` pairs); pass an empty slice to disable the skew
-    /// optimization's inputs.
-    pub fn run(
-        &self,
-        r: &Relation,
-        s: &Relation,
-        mcvs: &[(u64, u64)],
-    ) -> nocap_storage::Result<JoinRunReport> {
-        self.run_obs(r, s, mcvs, &Obs::off())
-    }
-
-    /// [`run`](Self::run) with an observability channel: phase spans
-    /// (partition, spill, build, probe), spilled-partition skew histograms,
-    /// and the buffer-pool high-water mark flow into `obs` when recording.
-    /// With `Obs::off()` the execution is byte-identical to `run`.
-    pub fn run_obs(
-        &self,
-        r: &Relation,
-        s: &Relation,
-        mcvs: &[(u64, u64)],
-        obs: &Obs,
-    ) -> nocap_storage::Result<JoinRunReport> {
-        let spec = &self.spec;
-        let device = r.device().clone();
-        let _io_trace = obs.attach_io(&device);
-        let timer = obs.run_timer();
-        let base = device.stats();
-        let pool = BufferPool::new(spec.buffer_pages);
-        let _io_pages = pool.reserve(2)?;
-
-        // ---- Skew optimization: pick the keys pinned in memory -----------
-        let skew_keys = self.select_skew_keys(mcvs, s.num_records() as u64);
-        let skew_pages = spec.hash_table_pages(skew_keys.len());
-        let _skew_reservation = pool.reserve(skew_pages.min(pool.available()))?;
-
-        // ---- Partition R (Algorithm 1) ------------------------------------
-        let m_dhh = spec
-            .m_dhh(r.num_records())
-            .min(pool.available().saturating_sub(1).max(1));
-        let mut partitioner =
-            DhhPartitioner::new(device.clone(), *spec, r.layout(), pool.available(), m_dhh);
-        // Reserve the probe-side bloom only after the partition geometry has
-        // consumed its budget view; an exhausted pool skips the filter.
-        let bloom_reservation = self.bloom.reserve(&pool);
-        let mut skew_table = JoinHashTable::new(r.layout(), spec.page_size, spec.fudge);
-        let r_partition_span = obs.span(Phase::Partition);
-        let mut r_scan = r.scan();
-        while let Some(page) = r_scan.next_page()? {
-            for rec in page.record_refs() {
-                if skew_keys.contains(&rec.key()) {
-                    skew_table.insert_ref(rec);
-                } else {
-                    partitioner.insert(rec)?;
-                }
-            }
-        }
-        drop(r_partition_span);
-        let build = {
-            let _spill_span = obs.span(Phase::Spill);
-            partitioner.finish()?
-        };
-        // Adopt every spill handle as it is finished so any later error
-        // deletes all spill files on unwind; the guard replaces the old
-        // success-path delete loops (deletion is not modeled I/O).
-        let mut spill_guard = SpillGuard::new();
-        spill_guard.adopt_all(build.spilled.iter().flatten().cloned());
-        let mut ht_mem = skew_table;
-        {
-            let _build_span = obs.span(Phase::Build);
-            for rec in build.staged_records.iter() {
-                ht_mem.insert_ref(rec);
-            }
-        }
-        // Freeze the completed build side for vectorized probes and build
-        // the probe pre-filter from its keys.
-        ht_mem.seal();
-        let bloom = self
-            .bloom
-            .build(&ht_mem, &bloom_reservation, spec.page_size);
-
-        // ---- Partition / probe S (Algorithm 2) -----------------------------
-        let mut output = 0u64;
-        let mut s_writers: Vec<Option<PartitionWriter>> = build
-            .pob
-            .iter()
-            .map(|&spilled| {
-                spilled.then(|| {
-                    PartitionWriter::new(
-                        device.clone(),
-                        s.layout(),
-                        spec.page_size,
-                        IoKind::RandWrite,
-                    )
-                })
-            })
-            .collect();
-        let s_partition_span = obs.span(Phase::Partition);
-        let mut s_scan = s.scan();
-        while let Some(page) = s_scan.next_page()? {
-            for rec in page.record_refs() {
-                // Bloom-negative keys take the identical `matches == 0`
-                // route (no false negatives), leaving routing and I/O
-                // unchanged.
-                let matches = if bloom.as_ref().is_none_or(|b| b.may_contain(rec.key())) {
-                    ht_mem.probe_count(rec.key())
-                } else {
-                    0
-                };
-                if matches > 0 {
-                    output += matches;
-                    continue;
-                }
-                let p = (hash_key(rec.key()) % build.pob.len() as u64) as usize;
-                if build.pob[p] {
-                    s_writers[p]
-                        .as_mut()
-                        .expect("spilled partition has an S writer")
-                        .push_ref(rec)?;
-                }
-            }
-        }
-        drop(s_partition_span);
-        let partition_io = device.stats().since(&base);
-        record_dhh_skew(obs, &build.spilled, &build.pob, build.staged_records.len());
-
-        // ---- Probe the spilled partition pairs -----------------------------
-        let probe_base = device.stats();
-        let probe_span = obs.span(Phase::Probe);
-        for (idx, maybe_r) in build.spilled.iter().enumerate() {
-            let Some(r_part) = maybe_r else { continue };
-            let Some(s_writer) = s_writers[idx].take() else {
-                continue;
-            };
-            let s_part = s_writer.finish()?;
-            spill_guard.adopt(s_part.clone());
-            output += smart_partition_join(r_part, &s_part, spec, 1)?;
-        }
-        drop(probe_span);
-        let probe_io = device.stats().since(&probe_base);
-
-        // Dropping the guard deletes every spill file (not counted as I/O).
-        drop(spill_guard);
-
-        obs.gauge_max("buffer_pool_peak_pages", pool.peak() as u64);
-        let mut report = JoinRunReport::new("DHH");
-        report.output_records = output;
-        report.partition_io = partition_io;
-        report.probe_io = probe_io;
-        report.finish_run(timer, obs);
-        Ok(report)
-    }
-
-    /// [`run`](Self::run) with graceful degradation: when `admission`
-    /// cannot grant the spec's budget — or execution fails with
+    /// [`run_parallel_obs`](Self::run_parallel_obs) at one thread with
+    /// graceful degradation: when `admission` cannot grant the spec's
+    /// budget — or execution fails with
     /// [`OutOfMemory`](nocap_storage::StorageError::OutOfMemory) — the
     /// budget walks down the [`BudgetLadder`] (`B → ¾B → …`) and DHH
     /// re-runs with a smaller budget (more partitions spill, more passes),
     /// instead of failing. Every step is recorded in the returned
     /// [`DegradedRun`].
-    pub fn run_degrading(
-        &self,
-        r: &Relation,
-        s: &Relation,
-        mcvs: &[(u64, u64)],
-        admission: &BufferPool,
-        ladder: &BudgetLadder,
-    ) -> nocap_storage::Result<DegradedRun> {
-        self.run_degrading_obs(r, s, mcvs, admission, ladder, &Obs::off())
-    }
-
-    /// The observed variant of [`run_degrading`](Self::run_degrading).
     pub fn run_degrading_obs(
         &self,
         r: &Relation,
@@ -339,50 +149,37 @@ impl DhhJoin {
         nocap_model::run_degrading(admission, self.spec.buffer_pages, ladder, obs, |budget| {
             let degraded = DhhJoin::new(self.spec.with_buffer_pages(budget), self.config)
                 .with_bloom(self.bloom);
-            degraded.run_obs(r, s, mcvs, obs)
+            degraded.run_parallel_obs(r, s, mcvs, 1, obs)
         })
     }
 
-    /// Executes `r ⋈ s` on `threads` worker threads.
+    /// Executes `r ⋈ s` on `threads` worker threads — the DHH executor
+    /// body. `mcvs` are the tracked most-common-value statistics
+    /// (`(key, frequency)` pairs) the skew optimization draws from; pass an
+    /// empty slice to disable its inputs.
     ///
     /// `threads == 0` selects [`nocap_par::default_threads`] (the
     /// `NOCAP_THREADS` environment variable, falling back to the machine's
-    /// parallelism). For every thread count the result — output cardinality
-    /// and the full per-phase modeled I/O trace — is **identical** to the
-    /// sequential [`run`](Self::run):
+    /// parallelism). The output cardinality and the full per-phase modeled
+    /// I/O trace are the same for every thread count:
     ///
     /// * both scans are sharded over disjoint page ranges
     ///   ([`page_shards`]), costing the same `‖R‖ + ‖S‖` sequential reads;
     /// * R partitioning drives DHH's modulo router over a
-    ///   [`ParallelStager`] with the same per-partition quotas
-    ///   ([`even_caps`]) the sequential [`QuotaStager`] uses, so the
-    ///   destaged partition set and per-partition spill page counts depend
-    ///   only on each partition's total record count — never on thread
-    ///   interleaving;
+    ///   [`ParallelStager`] with fixed per-partition quotas ([`even_caps`]),
+    ///   so the destaged partition set and per-partition spill page counts
+    ///   depend only on each partition's total record count — never on
+    ///   thread interleaving;
     /// * every spilled S partition funnels through one shared
     ///   output-buffer page ([`SharedWriterSet`]), flushing exactly
-    ///   `⌈n / b⌉` pages like the sequential writer;
+    ///   `⌈n / b⌉` pages;
     /// * the spilled partition pairs are claimed from a work queue and
     ///   joined with the same [`smart_partition_join`], whose per-pair I/O
     ///   is independent of claim order.
     ///
-    /// This gives the paper's strongest baseline the same multi-threaded
-    /// execution surface as NOCAP/GHJ, pinned by the shared differential
-    /// harness in `tests/parallel_determinism.rs`.
-    pub fn run_parallel(
-        &self,
-        r: &Relation,
-        s: &Relation,
-        mcvs: &[(u64, u64)],
-        threads: usize,
-    ) -> nocap_storage::Result<JoinRunReport> {
-        self.run_parallel_obs(r, s, mcvs, threads, &Obs::off())
-    }
-
-    /// [`run_parallel`](Self::run_parallel) with an observability channel:
-    /// in addition to the main-thread phase spans of
-    /// [`run_obs`](Self::run_obs), every worker contributes a per-thread
-    /// timeline (partition passes and claimed probe tasks) to the trace.
+    /// With a recording `obs`, phase spans (partition, spill, build, probe),
+    /// per-worker timelines, spilled-partition skew histograms and the
+    /// buffer-pool high-water mark land in the report's trace.
     pub fn run_parallel_obs(
         &self,
         r: &Relation,
@@ -404,22 +201,20 @@ impl DhhJoin {
         let pool = BufferPool::new(spec.buffer_pages);
         let _io_pages = pool.reserve(2)?;
 
-        // ---- Skew optimization: identical key selection to `run` ---------
+        // ---- Skew optimization: pick the keys pinned in memory -----------
         let skew_keys = self.select_skew_keys(mcvs, s.num_records() as u64);
         let skew_pages = spec.hash_table_pages(skew_keys.len());
         let _skew_reservation = pool.reserve(skew_pages.min(pool.available()))?;
 
         // ---- Partition R (Algorithm 1, sharded) --------------------------
-        // Same geometry derivation as the sequential path: partition count
-        // and quotas are fixed before any record is routed.
+        // Partition count and quotas are fixed before any record is routed.
         let m_dhh = spec
             .m_dhh(r.num_records())
             .min(pool.available().saturating_sub(1).max(1));
-        let caps = DhhPartitioner::caps(pool.available(), m_dhh);
-        // Reserve the probe-side bloom at the same pool state the sequential
-        // path sees (after the quota geometry is derived, before the carving
-        // below consumes every remaining page), so both paths size the
-        // filter identically.
+        let caps = even_caps(pool.available().max(1), m_dhh);
+        // Reserve the probe-side bloom after the quota geometry is derived
+        // and before the carving below consumes every remaining page; an
+        // exhausted pool skips the filter.
         let bloom_reservation = self.bloom.reserve(&pool);
         // Make the quota carving visible to the pool, one reservation per
         // partition covering exactly the staging budget.
@@ -431,9 +226,9 @@ impl DhhJoin {
         let r_partition_span = obs.span(Phase::Partition);
         let stages = run_workers_obs(threads, obs, Phase::Partition, |w, _wobs| {
             let mut stage = stager.worker_stage();
-            // Per-worker radix write buffers in front of the stager (see
-            // `DhhPartitioner::insert`): per-partition arrival order within
-            // this worker is preserved and destaging depends only on counts.
+            // Per-worker radix write buffers in front of the stager:
+            // per-partition arrival order within this worker is preserved
+            // and destaging depends only on counts.
             let mut router = RadixRouter::new(r.layout(), stager.num_partitions());
             let mut scan = r.scan_range(r_shards[w].clone());
             while let Some(page) = scan.next_page()? {
@@ -456,8 +251,8 @@ impl DhhJoin {
             let _spill_span = obs.span(Phase::Spill);
             stager.finish(stages)?
         };
-        // As in the sequential path: adopt spill handles as they finish so
-        // any later error deletes all spill files on unwind.
+        // Adopt spill handles as they finish so any later error deletes all
+        // spill files on unwind.
         let mut spill_guard = SpillGuard::new();
         spill_guard.adopt_all(build.spilled.iter().flatten().cloned());
         let mut ht_mem = into_inner_unpoisoned(ht_shared);
@@ -467,7 +262,8 @@ impl DhhJoin {
                 ht_mem.insert_ref(rec);
             }
         }
-        // Same sealing point as the sequential path; the filter's bits are
+        // Freeze the completed build side for vectorized probes and build
+        // the probe pre-filter from its keys; the filter's bits are
         // multiset-determined, hence thread-count invariant.
         ht_mem.seal();
         let bloom = self
@@ -515,8 +311,7 @@ impl DhhJoin {
         record_dhh_skew(obs, &build.spilled, &build.pob, build.staged_records.len());
 
         // ---- Probe the spilled partition pairs, fanned out ---------------
-        // Partial S output-buffer pages flush inside this window, exactly
-        // where the sequential executor flushes them.
+        // Partial S output-buffer pages flush inside this probe window.
         let probe_base = device.stats();
         let probe_span = obs.span(Phase::Probe);
         let s_handles = s_writers.finish_all()?;
@@ -545,23 +340,16 @@ impl DhhJoin {
         Ok(report)
     }
 
-    /// The sketch-driven parallel path: plan the skew optimization from a
-    /// one-pass [`StatsSummary`] (see
-    /// [`run_with_collected_stats`](Self::run_with_collected_stats)) and
-    /// execute on `threads` workers. Output and per-phase I/O are identical
-    /// to the sequential sketch-driven run for every thread count.
-    pub fn run_parallel_with_collected_stats(
-        &self,
-        r: &Relation,
-        s: &Relation,
-        stats: &StatsSummary,
-        threads: usize,
-    ) -> nocap_storage::Result<JoinRunReport> {
-        self.run_parallel_with_collected_stats_obs(r, s, stats, threads, &Obs::off())
-    }
-
-    /// [`run_parallel_with_collected_stats`](Self::run_parallel_with_collected_stats)
-    /// with an observability channel.
+    /// Executes `r ⋈ s` with statistics from a one-pass sketch summary
+    /// instead of the oracle MCV list — the same deployable configuration
+    /// `NocapJoin::run_parallel_with_collected_stats_obs` uses, so
+    /// `exp_stats_accuracy` compares every skew-aware algorithm on equal
+    /// (sketched) footing.
+    ///
+    /// The skew optimization consumes [`StatsSummary::planner_mcvs`]: raw
+    /// SpaceSaving counts on skewed streams, histogram-backed masses on
+    /// near-uniform ones (where the raw counts are noise-dominated and
+    /// would trip the 2 % frequency trigger spuriously).
     pub fn run_parallel_with_collected_stats_obs(
         &self,
         r: &Relation,
@@ -605,8 +393,8 @@ impl DhhJoin {
 
 /// Records DHH's partition-skew profile on the observability channel: size
 /// histograms over the destaged partitions plus staged/spilled counters.
-/// Both execution paths destage the same partition set (quota geometry), so
-/// the recorded skew is identical for any thread count.
+/// The quota geometry destages the same partition set at every thread
+/// count, so the recorded skew is thread-count invariant.
 fn record_dhh_skew(
     obs: &Obs,
     spilled: &[Option<PartitionHandle>],
@@ -632,79 +420,17 @@ fn record_dhh_skew(
     obs.count("staged_records", staged_records as u64);
 }
 
-/// Outcome of DHH's R-partitioning phase.
-struct DhhBuild {
-    staged_records: RecordBatch,
-    spilled: Vec<Option<PartitionHandle>>,
-    pob: Vec<bool>,
-}
-
-/// The destaging partitioner of Algorithm 1, ported from the paper's
-/// order-dependent "largest partition on global overflow" policy to the
-/// deterministic per-partition quota geometry (see the module docs): a
-/// modulo-hash router in front of the shared sequential
-/// [`QuotaStager`], with every partition owning `even_caps(budget, m)[p]`
-/// staging pages.
-struct DhhPartitioner {
-    stager: QuotaStager,
-    /// Cache-line-sized per-partition write buffers in front of the stager;
-    /// per-partition arrival order is preserved, so staged contents and the
-    /// destaged set are identical to direct pushes.
-    router: RadixRouter,
-}
-
-impl DhhPartitioner {
-    /// The per-partition staging quotas of DHH's quota geometry — shared by
-    /// the sequential partitioner and [`DhhJoin::run_parallel`], so both
-    /// paths destage exactly the same partition set by construction.
-    fn caps(budget_pages: usize, num_partitions: usize) -> Vec<usize> {
-        even_caps(budget_pages.max(1), num_partitions.max(1))
-    }
-
-    fn new(
-        device: DeviceRef,
-        spec: JoinSpec,
-        layout: RecordLayout,
-        budget_pages: usize,
-        num_partitions: usize,
-    ) -> Self {
-        let caps = Self::caps(budget_pages, num_partitions);
-        let router = RadixRouter::new(layout, caps.len());
-        DhhPartitioner {
-            stager: QuotaStager::new(device, spec, layout, caps),
-            router,
-        }
-    }
-
-    #[cfg(test)]
-    fn pages_in_use(&self) -> usize {
-        self.stager.pages_in_use()
-    }
-
-    fn insert(&mut self, rec: RecordRef<'_>) -> nocap_storage::Result<()> {
-        let p = (hash_key(rec.key()) % self.stager.num_partitions() as u64) as usize;
-        let stager = &mut self.stager;
-        self.router.push(p, rec, &mut |p, r| stager.insert(p, r))
-    }
-
-    fn finish(mut self) -> nocap_storage::Result<DhhBuild> {
-        let stager = &mut self.stager;
-        self.router.finish(&mut |p, r| stager.insert(p, r))?;
-        let build = self.stager.finish()?;
-        Ok(DhhBuild {
-            staged_records: build.staged_records,
-            spilled: build.spilled,
-            pob: build.pob,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::naive::naive_join_count;
-    use crate::testutil::{build_workload, mcvs};
+    use crate::testutil::{assert_parallel_equivalence, build_workload, mcvs, pinned_report};
     use nocap_storage::{Record, SimDevice};
+
+    /// Runs the join through the executor at one thread, unobserved.
+    fn run(dhh: DhhJoin, r: &Relation, s: &Relation, mcvs: &[(u64, u64)]) -> JoinRunReport {
+        dhh.run_parallel_obs(r, s, mcvs, 1, &Obs::off()).unwrap()
+    }
 
     #[test]
     fn matches_naive_join_uniform() {
@@ -714,9 +440,12 @@ mod tests {
         let (r, s) = build_workload(dev.clone(), &spec, 2_000, counts);
         let expected = naive_join_count(&r, &s).unwrap();
         dev.reset_stats();
-        let report = DhhJoin::with_defaults(spec)
-            .run(&r, &s, &mcvs(2_000, counts, 100))
-            .unwrap();
+        let report = run(
+            DhhJoin::with_defaults(spec),
+            &r,
+            &s,
+            &mcvs(2_000, counts, 100),
+        );
         assert_eq!(report.output_records, expected);
     }
 
@@ -730,13 +459,11 @@ mod tests {
         let stats = mcvs(2_000, counts, 100);
 
         dev.reset_stats();
-        let with_skew = DhhJoin::with_defaults(spec).run(&r, &s, &stats).unwrap();
+        let with_skew = run(DhhJoin::with_defaults(spec), &r, &s, &stats);
         assert_eq!(with_skew.output_records, expected);
 
         dev.reset_stats();
-        let without_skew = DhhJoin::new(spec, DhhConfig::no_skew())
-            .run(&r, &s, &stats)
-            .unwrap();
+        let without_skew = run(DhhJoin::new(spec, DhhConfig::no_skew()), &r, &s, &stats);
         assert_eq!(without_skew.output_records, expected);
 
         // The skew optimization pins the hottest keys, so it cannot do more
@@ -751,9 +478,12 @@ mod tests {
         let counts = |k: u64| (k % 4) + 1;
         let (r, s) = build_workload(dev.clone(), &spec, 2_000, counts);
         dev.reset_stats();
-        let report = DhhJoin::with_defaults(spec)
-            .run(&r, &s, &mcvs(2_000, counts, 50))
-            .unwrap();
+        let report = run(
+            DhhJoin::with_defaults(spec),
+            &r,
+            &s,
+            &mcvs(2_000, counts, 50),
+        );
         assert_eq!(report.total_io().writes(), 0, "nothing should spill");
         assert_eq!(
             report.total_io().reads() as usize,
@@ -769,9 +499,12 @@ mod tests {
         let (r, s) = build_workload(dev.clone(), &spec, 4_000, counts);
         let expected = naive_join_count(&r, &s).unwrap();
         dev.reset_stats();
-        let report = DhhJoin::with_defaults(spec)
-            .run(&r, &s, &mcvs(4_000, counts, 100))
-            .unwrap();
+        let report = run(
+            DhhJoin::with_defaults(spec),
+            &r,
+            &s,
+            &mcvs(4_000, counts, 100),
+        );
         assert_eq!(report.output_records, expected);
         // With B far below √(‖R‖·F) nearly everything spills: the partition
         // phase writes most of R and S.
@@ -796,12 +529,10 @@ mod tests {
 
         let oracle_stats = mcvs(2_500, counts, 100);
         dev.reset_stats();
-        let oracle = DhhJoin::with_defaults(spec)
-            .run(&r, &s, &oracle_stats)
-            .unwrap();
+        let oracle = run(DhhJoin::with_defaults(spec), &r, &s, &oracle_stats);
         dev.reset_stats();
         let sketched = DhhJoin::with_defaults(spec)
-            .run_with_collected_stats(&r, &s, &summary)
+            .run_parallel_with_collected_stats_obs(&r, &s, &summary, 1, &Obs::off())
             .unwrap();
         assert_eq!(sketched.output_records, expected);
         assert_eq!(oracle.output_records, expected);
@@ -819,21 +550,24 @@ mod tests {
         let spec = JoinSpec::paper_synthetic(128, 16);
         let budget = 10usize;
         let parts = 5usize;
-        // Run the same multiset of keys through the partitioner in two very
-        // different orders; the destaged set must not change — that is the
-        // point of the quota port.
+        // Stage the same multiset of keys through DHH's modulo router and
+        // quota geometry in two very different orders; the destaged set must
+        // not change — that is the point of the quota port.
         let run = |keys: &[u64]| {
             let device = SimDevice::new_ref();
-            let mut p = DhhPartitioner::new(device.clone(), spec, spec.r_layout, budget, parts);
+            let caps = even_caps(budget, parts);
+            let stager = ParallelStager::new(device.clone(), spec.r_layout, spec, caps);
+            let mut stage = stager.worker_stage();
             for &k in keys {
                 let rec = Record::with_fill(k, 120, 0);
-                p.insert(rec.as_record_ref()).unwrap();
+                let p = (hash_key(k) % parts as u64) as usize;
+                stager.insert(&mut stage, p, rec.as_record_ref()).unwrap();
                 assert!(
-                    p.pages_in_use() <= budget,
+                    stager.pages_in_use() <= budget,
                     "staged pages + spill buffers exceeded the budget"
                 );
             }
-            let build = p.finish().unwrap();
+            let build = stager.finish(vec![stage]).unwrap();
             let spilled: usize = build.spilled.iter().flatten().map(|h| h.records()).sum();
             assert_eq!(spilled + build.staged_records.len(), keys.len());
             (build.pob, device.stats().total())
@@ -853,19 +587,15 @@ mod tests {
         let spec = JoinSpec::paper_synthetic(128, 48);
         let counts = |k: u64| if k < 8 { 300 } else { 1 };
         let stats = mcvs(2_000, counts, 100);
-        crate::testutil::assert_parallel_equivalence(
+        assert_parallel_equivalence(
             "dhh/skewed",
             &[1, 2, 4, 8],
-            || {
-                let dev = SimDevice::new_ref();
-                let (r, s) = build_workload(dev, &spec, 2_000, counts);
-                DhhJoin::with_defaults(spec).run(&r, &s, &stats).unwrap()
-            },
+            &pinned_report(4_392, [207, 0, 0, 198], [216, 0, 0, 18]),
             |threads| {
                 let dev = SimDevice::new_ref();
                 let (r, s) = build_workload(dev, &spec, 2_000, counts);
                 DhhJoin::with_defaults(spec)
-                    .run_parallel(&r, &s, &stats, threads)
+                    .run_parallel_obs(&r, &s, &stats, threads, &Obs::off())
                     .unwrap()
             },
         );
@@ -876,21 +606,15 @@ mod tests {
         let spec = JoinSpec::paper_synthetic(128, 24);
         let counts = |_k: u64| 3u64;
         let stats = mcvs(3_000, counts, 100);
-        crate::testutil::assert_parallel_equivalence(
+        assert_parallel_equivalence(
             "dhh/no-skew",
             &[1, 2, 4],
-            || {
-                let dev = SimDevice::new_ref();
-                let (r, s) = build_workload(dev, &spec, 3_000, counts);
-                DhhJoin::new(spec, DhhConfig::no_skew())
-                    .run(&r, &s, &stats)
-                    .unwrap()
-            },
+            &pinned_report(9_000, [388, 0, 0, 386], [406, 0, 0, 20]),
             |threads| {
                 let dev = SimDevice::new_ref();
                 let (r, s) = build_workload(dev, &spec, 3_000, counts);
                 DhhJoin::new(spec, DhhConfig::no_skew())
-                    .run_parallel(&r, &s, &stats, threads)
+                    .run_parallel_obs(&r, &s, &stats, threads, &Obs::off())
                     .unwrap()
             },
         );
@@ -905,7 +629,7 @@ mod tests {
         let expected = naive_join_count(&r, &s).unwrap();
         dev.reset_stats();
         let report = DhhJoin::with_defaults(spec)
-            .run_parallel(&r, &s, &mcvs(1_500, counts, 50), 0)
+            .run_parallel_obs(&r, &s, &mcvs(1_500, counts, 50), 0, &Obs::off())
             .unwrap();
         assert_eq!(report.output_records, expected);
     }
@@ -917,7 +641,7 @@ mod tests {
         let counts = |_k: u64| 3u64;
         let (r, s) = build_workload(dev.clone(), &spec, 4_000, counts);
         let report = DhhJoin::with_defaults(spec)
-            .run_parallel(&r, &s, &mcvs(4_000, counts, 100), 3)
+            .run_parallel_obs(&r, &s, &mcvs(4_000, counts, 100), 3, &Obs::off())
             .unwrap();
         assert!(
             report.partition_io.writes() > 0,
@@ -942,21 +666,15 @@ mod tests {
             collector.consume(s.scan()).unwrap();
             (r, s, collector.finish())
         };
-        crate::testutil::assert_parallel_equivalence(
+        assert_parallel_equivalence(
             "dhh/sketch-driven",
             &[1, 2, 4],
-            || {
-                let (r, s, summary) = collect();
-                r.device().reset_stats();
-                DhhJoin::with_defaults(spec)
-                    .run_with_collected_stats(&r, &s, &summary)
-                    .unwrap()
-            },
+            &pinned_report(7_480, [323, 0, 0, 319], [339, 0, 0, 20]),
             |threads| {
                 let (r, s, summary) = collect();
                 r.device().reset_stats();
                 DhhJoin::with_defaults(spec)
-                    .run_parallel_with_collected_stats(&r, &s, &summary, threads)
+                    .run_parallel_with_collected_stats_obs(&r, &s, &summary, threads, &Obs::off())
                     .unwrap()
             },
         );
@@ -977,7 +695,14 @@ mod tests {
         // 48 and 36 rejected by a 28-page admission pool; 27 runs.
         let tight = BufferPool::new(28);
         let degraded = join
-            .run_degrading(&r, &s, &stats, &tight, &BudgetLadder::default())
+            .run_degrading_obs(
+                &r,
+                &s,
+                &stats,
+                &tight,
+                &BudgetLadder::default(),
+                &Obs::off(),
+            )
             .unwrap();
         assert_eq!(degraded.budget_pages, 27);
         assert_eq!(degraded.steps(), 2);
@@ -1003,5 +728,44 @@ mod tests {
         let high_mass = vec![(1u64, 400u64), (2, 300)];
         let selected = dhh.select_skew_keys(&high_mass, 1_000);
         assert!(selected.contains(&1));
+    }
+
+    #[test]
+    fn histojoin_preset_matches_naive_join() {
+        let dev = SimDevice::new_ref();
+        let spec = JoinSpec::paper_synthetic(128, 48);
+        let counts = |k: u64| if k < 5 { 200 } else { 2 };
+        let (r, s) = build_workload(dev.clone(), &spec, 1_500, counts);
+        let expected = naive_join_count(&r, &s).unwrap();
+        dev.reset_stats();
+        let histo = DhhJoin::new(spec, DhhConfig::histojoin());
+        let report = run(histo, &r, &s, &mcvs(1_500, counts, 75));
+        assert_eq!(report.output_records, expected);
+    }
+
+    #[test]
+    fn histojoin_preset_triggers_even_for_low_skew_mass() {
+        // With a tiny MCV mass (10 of 1 000 S records, below the 2 % trigger)
+        // PostgreSQL-style DHH skips the skew table but the Histojoin preset
+        // still builds it.
+        let roomy = JoinSpec::paper_synthetic(128, 100);
+        let low_mass = [(0u64, 10u64)];
+        assert!(DhhJoin::with_defaults(roomy)
+            .select_skew_keys(&low_mass, 1_000)
+            .is_empty());
+        assert!(DhhJoin::new(roomy, DhhConfig::histojoin())
+            .select_skew_keys(&low_mass, 1_000)
+            .contains(&0));
+
+        // And the preset stays correct end to end.
+        let dev = SimDevice::new_ref();
+        let spec = JoinSpec::paper_synthetic(128, 40);
+        let counts = |k: u64| if k == 0 { 30 } else { 2 };
+        let (r, s) = build_workload(dev.clone(), &spec, 3_000, counts);
+        let expected = naive_join_count(&r, &s).unwrap();
+        let stats = mcvs(3_000, counts, 50);
+        dev.reset_stats();
+        let histo = DhhJoin::new(spec, DhhConfig::histojoin());
+        assert_eq!(run(histo, &r, &s, &stats).output_records, expected);
     }
 }

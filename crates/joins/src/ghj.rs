@@ -54,89 +54,15 @@ impl GraceHashJoin {
         self
     }
 
-    /// Executes `r ⋈ s`.
-    pub fn run(&self, r: &Relation, s: &Relation) -> nocap_storage::Result<JoinRunReport> {
-        self.run_obs(r, s, &Obs::off())
-    }
-
-    /// [`run`](Self::run) with observability: partition/probe phase spans
-    /// and per-partition skew histograms land in the report's trace.
-    pub fn run_obs(
-        &self,
-        r: &Relation,
-        s: &Relation,
-        obs: &Obs,
-    ) -> nocap_storage::Result<JoinRunReport> {
-        let spec = &self.spec;
-        let device = r.device().clone();
-        let _io_trace = obs.attach_io(&device);
-        let timer = obs.run_timer();
-        let base = device.stats();
-
-        // Partition both inputs once.
-        let num_partitions = spec.buffer_pages.saturating_sub(1).max(2);
-        let pool = BufferPool::new(spec.buffer_pages);
-        let _input_page = pool.reserve(1)?;
-        let _output_buffers = pool.reserve(num_partitions.min(pool.available()))?;
-
-        // Adopt each relation's partitions as they finish so a failure while
-        // partitioning S or probing deletes R's files too; the guard
-        // replaces the old success-path delete loop.
-        let mut spill_guard = SpillGuard::new();
-        let partition_span = obs.span(Phase::Partition);
-        let r_parts = partition_relation_scan(&device, r, spec, num_partitions, 0)?;
-        spill_guard.adopt_all(r_parts.iter().cloned());
-        let s_parts = partition_relation_scan(&device, s, spec, num_partitions, 0)?;
-        spill_guard.adopt_all(s_parts.iter().cloned());
-        drop(partition_span);
-        let partition_io = device.stats().since(&base);
-        record_ghj_skew(obs, &r_parts, &s_parts);
-
-        // Join each pair. The per-chunk probe filters are charged to the
-        // pool for the whole probe phase; an exhausted pool turns the
-        // filter off instead of failing.
-        let bloom_reservation = self.bloom.reserve(&pool);
-        let bloom_cfg = clamp_bloom(&self.bloom, &bloom_reservation);
-        let probe_base = device.stats();
-        let probe_span = obs.span(Phase::Probe);
-        let mut output = 0u64;
-        for (r_part, s_part) in r_parts.iter().zip(s_parts.iter()) {
-            output += self.join_pair(&device, r_part, s_part, &bloom_cfg, 1)?;
-        }
-        drop(probe_span);
-        let probe_io = device.stats().since(&probe_base);
-
-        // Dropping the guard deletes every spill file (not counted as I/O).
-        drop(spill_guard);
-
-        obs.gauge_max("buffer_pool_peak_pages", pool.peak() as u64);
-        let mut report = JoinRunReport::new("GHJ");
-        report.output_records = output;
-        report.partition_io = partition_io;
-        report.probe_io = probe_io;
-        report.finish_run(timer, obs);
-        Ok(report)
-    }
-
-    /// Executes `r ⋈ s` on `threads` worker threads.
+    /// Executes `r ⋈ s` on `threads` worker threads — the GHJ executor
+    /// body; `threads = 1` is the sequential run and `threads == 0` selects
+    /// [`nocap_par::default_threads`].
     ///
-    /// GHJ's static hash partitioning has no order-dependent state at all,
-    /// so the parallel path is the textbook case for the `nocap-par`
-    /// machinery: workers shard each relation's pages and route into shared
-    /// single-buffer spill writers ([`SharedWriterSet`]), then the
-    /// partition pairs are claimed from a work queue. Output and the full
-    /// I/O trace are identical to [`run`](Self::run) for every thread
-    /// count; `threads == 0` selects [`nocap_par::default_threads`].
-    pub fn run_parallel(
-        &self,
-        r: &Relation,
-        s: &Relation,
-        threads: usize,
-    ) -> nocap_storage::Result<JoinRunReport> {
-        self.run_parallel_obs(r, s, threads, &Obs::off())
-    }
-
-    /// [`run_parallel`](Self::run_parallel) with observability — phase
+    /// GHJ's static hash partitioning has no order-dependent state at all:
+    /// workers shard each relation's pages and route into shared
+    /// single-buffer spill writers ([`SharedWriterSet`]), then the partition
+    /// pairs are claimed from a work queue. Output and the full I/O trace
+    /// are identical for every thread count. With a recording `obs`: phase
     /// spans, per-worker scan spans, per-task probe spans and partition skew
     /// histograms, recorded without touching routing or claim order.
     pub fn run_parallel_obs(
@@ -162,7 +88,7 @@ impl GraceHashJoin {
         let _input_page = pool.reserve(1)?;
         let _output_buffers = pool.reserve(num_partitions.min(pool.available()))?;
 
-        let partition_parallel =
+        let partition_relation =
             |relation: &Relation| -> nocap_storage::Result<Vec<PartitionHandle>> {
                 let writers = SharedWriterSet::new(
                     device.clone(),
@@ -189,18 +115,21 @@ impl GraceHashJoin {
                 })?;
                 writers.finish_dense()
             };
+        // Adopt each relation's partitions as they finish so a failure while
+        // partitioning S or probing deletes R's files too.
         let mut spill_guard = SpillGuard::new();
         let partition_span = obs.span(Phase::Partition);
-        let r_parts = partition_parallel(r)?;
+        let r_parts = partition_relation(r)?;
         spill_guard.adopt_all(r_parts.iter().cloned());
-        let s_parts = partition_parallel(s)?;
+        let s_parts = partition_relation(s)?;
         spill_guard.adopt_all(s_parts.iter().cloned());
         drop(partition_span);
         let partition_io = device.stats().since(&base);
         record_ghj_skew(obs, &r_parts, &s_parts);
 
-        // Same probe-filter charge as the sequential path: both executors
-        // see the same pool state here, so the clamped filter is identical.
+        // Join each pair. The per-chunk probe filters are charged to the
+        // pool for the whole probe phase; an exhausted pool turns the
+        // filter off instead of failing.
         let bloom_reservation = self.bloom.reserve(&pool);
         let bloom_cfg = clamp_bloom(&self.bloom, &bloom_reservation);
         let probe_base = device.stats();
@@ -293,49 +222,6 @@ fn record_ghj_skew(obs: &Obs, r_parts: &[PartitionHandle], s_parts: &[PartitionH
     obs.count("partitions", r_parts.len() as u64);
 }
 
-/// Hash-partitions a stored relation into `m` spill partitions.
-fn partition_relation_scan(
-    device: &DeviceRef,
-    relation: &Relation,
-    spec: &JoinSpec,
-    m: usize,
-    level: u32,
-) -> nocap_storage::Result<Vec<PartitionHandle>> {
-    let mut writers: Vec<PartitionWriter> = (0..m)
-        .map(|_| {
-            PartitionWriter::new(
-                device.clone(),
-                relation.layout(),
-                spec.page_size,
-                IoKind::RandWrite,
-            )
-        })
-        .collect();
-    // Cache-line-sized per-partition write buffers in front of the spill
-    // writers: per-partition arrival order is preserved, so partition files
-    // are byte-identical to direct pushes.
-    let mut router = RadixRouter::new(relation.layout(), m);
-    let mut scan = relation.scan();
-    while let Some(page) = scan.next_page()? {
-        for rec in page.record_refs() {
-            let p = (level_hash(rec.key(), level) % m as u64) as usize;
-            router.push(p, rec, &mut |p, r| writers[p].push_ref(r))?;
-        }
-    }
-    router.finish(&mut |p, r| writers[p].push_ref(r))?;
-    // Fail-clean finish: a mid-loop error deletes the handles produced so
-    // far (unfinished writers delete their own files on drop).
-    let mut guard = SpillGuard::new();
-    let mut out = Vec::with_capacity(writers.len());
-    for w in writers {
-        let h = w.finish()?;
-        guard.adopt(h.clone());
-        out.push(h);
-    }
-    let _ = guard.release();
-    Ok(out)
-}
-
 /// Hash-partitions an existing spill partition into `m` sub-partitions
 /// (used by recursive re-partitioning).
 fn partition_handle(
@@ -365,7 +251,8 @@ fn partition_handle(
         }
     }
     let layout = layout.unwrap_or(spec.r_layout);
-    // Fail-clean finish, as in `partition_relation_scan`.
+    // Fail-clean finish: a mid-loop error deletes the handles produced so
+    // far (unfinished writers delete their own files on drop).
     let mut guard = SpillGuard::new();
     let mut out = Vec::with_capacity(writers.len());
     for w in writers {
@@ -385,8 +272,13 @@ fn partition_handle(
 mod tests {
     use super::*;
     use crate::naive::naive_join_count;
-    use crate::testutil::build_workload;
+    use crate::testutil::{assert_parallel_equivalence, build_workload, pinned_report};
     use nocap_storage::SimDevice;
+
+    /// Runs the join through the executor at one thread, unobserved.
+    fn run(ghj: GraceHashJoin, r: &Relation, s: &Relation) -> JoinRunReport {
+        ghj.run_parallel_obs(r, s, 1, &Obs::off()).unwrap()
+    }
 
     #[test]
     fn matches_naive_join_uniform() {
@@ -396,7 +288,7 @@ mod tests {
         let (r, s) = build_workload(dev.clone(), &spec, 2_000, counts);
         let expected = naive_join_count(&r, &s).unwrap();
         dev.reset_stats();
-        let report = GraceHashJoin::new(spec).run(&r, &s).unwrap();
+        let report = run(GraceHashJoin::new(spec), &r, &s);
         assert_eq!(report.output_records, expected);
     }
 
@@ -408,7 +300,7 @@ mod tests {
         let (r, s) = build_workload(dev.clone(), &spec, 1_500, counts);
         let expected = naive_join_count(&r, &s).unwrap();
         dev.reset_stats();
-        let report = GraceHashJoin::new(spec).run(&r, &s).unwrap();
+        let report = run(GraceHashJoin::new(spec), &r, &s);
         assert_eq!(report.output_records, expected);
     }
 
@@ -419,7 +311,7 @@ mod tests {
         let counts = |_k: u64| 2u64;
         let (r, s) = build_workload(dev.clone(), &spec, 3_000, counts);
         dev.reset_stats();
-        let report = GraceHashJoin::new(spec).run(&r, &s).unwrap();
+        let report = run(GraceHashJoin::new(spec), &r, &s);
         // Every record of R and S is written to some partition exactly once
         // (partition page counts may add a page of slack per partition).
         let writes = report.partition_io.writes() as usize;
@@ -437,27 +329,19 @@ mod tests {
     fn parallel_ghj_matches_sequential_io_and_output() {
         let spec = JoinSpec::paper_synthetic(128, 32);
         let counts = |k: u64| if k < 12 { 120 } else { 2 };
-        let dev = SimDevice::new_ref();
-        let (r, s) = build_workload(dev.clone(), &spec, 2_000, counts);
-        dev.reset_stats();
-        let sequential = GraceHashJoin::new(spec).run(&r, &s).unwrap();
-        for threads in [1usize, 2, 4] {
-            let dev = SimDevice::new_ref();
-            let (r, s) = build_workload(dev.clone(), &spec, 2_000, counts);
-            dev.reset_stats();
-            let parallel = GraceHashJoin::new(spec)
-                .run_parallel(&r, &s, threads)
-                .unwrap();
-            assert_eq!(parallel.output_records, sequential.output_records);
-            assert_eq!(
-                parallel.partition_io, sequential.partition_io,
-                "partition I/O differs at {threads} threads"
-            );
-            assert_eq!(
-                parallel.probe_io, sequential.probe_io,
-                "probe I/O differs at {threads} threads"
-            );
-        }
+        assert_parallel_equivalence(
+            "ghj/skewed",
+            &[1, 2, 4],
+            &pinned_report(5_416, [240, 0, 0, 269], [269, 0, 0, 0]),
+            |threads| {
+                let dev = SimDevice::new_ref();
+                let (r, s) = build_workload(dev.clone(), &spec, 2_000, counts);
+                dev.reset_stats();
+                GraceHashJoin::new(spec)
+                    .run_parallel_obs(&r, &s, threads, &Obs::off())
+                    .unwrap()
+            },
+        );
     }
 
     #[test]
@@ -467,9 +351,11 @@ mod tests {
         let counts = |_k: u64| 2u64;
         let (r, s) = build_workload(dev.clone(), &spec, 1_000, counts);
         dev.reset_stats();
-        let ghj = GraceHashJoin::new(spec).run(&r, &s).unwrap();
+        let ghj = run(GraceHashJoin::new(spec), &r, &s);
         dev.reset_stats();
-        let nbj = crate::nbj::NestedBlockJoin::new(spec).run(&r, &s).unwrap();
+        let nbj = crate::nbj::NestedBlockJoin::new(spec)
+            .run_obs(&r, &s, &Obs::off())
+            .unwrap();
         assert_eq!(ghj.output_records, nbj.output_records);
         assert!(
             ghj.total_ios() > nbj.total_ios(),

@@ -17,21 +17,22 @@
 //!   staged in memory and destaged on demand (POB bits), with the
 //!   PostgreSQL-style skew optimization controlled by two fixed thresholds
 //!   (2 % of memory for the skew hash table, triggered when the MCV mass
-//!   exceeds 2 % of S).
-//! * [`histojoin`] — Histojoin: the MCV-caching skew optimization with a
-//!   zero trigger threshold, as configured in the paper's evaluation.
+//!   exceeds 2 % of S). Histojoin is its [`DhhConfig::histojoin`] preset:
+//!   the same skew optimization with a zero trigger threshold, as
+//!   configured in the paper's evaluation.
 //!
 //! Every executor takes a [`JoinSpec`](nocap_model::JoinSpec), draws its
 //! memory from a [`BufferPool`](nocap_storage::BufferPool) capped at the
 //! spec's budget and returns a [`JoinRunReport`](nocap_model::JoinRunReport)
-//! with the measured I/O trace.
+//! with the measured I/O trace. Each has exactly one executor body, taking
+//! the worker-thread count (where it parallelizes) and an observability
+//! handle; `threads = 1` is the sequential run.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod dhh;
 pub mod ghj;
-pub mod histojoin;
 pub mod naive;
 pub mod nbj;
 pub mod smj;
@@ -40,7 +41,6 @@ pub mod testutil;
 
 pub use dhh::{DhhConfig, DhhJoin};
 pub use ghj::GraceHashJoin;
-pub use histojoin::HistoJoin;
 pub use naive::naive_join_count;
 pub use nbj::NestedBlockJoin;
 pub use smj::{merge_join_runs, SortMergeJoin, SMJ_MIN_BUDGET_PAGES};

@@ -23,14 +23,10 @@ impl NestedBlockJoin {
         NestedBlockJoin { spec }
     }
 
-    /// Executes `r ⋈ s`, chunking whichever input is smaller.
-    pub fn run(&self, r: &Relation, s: &Relation) -> nocap_storage::Result<JoinRunReport> {
-        self.run_obs(r, s, &Obs::off())
-    }
-
-    /// [`run`](Self::run) with an observability channel: each chunk's hash
-    /// table fill shows up as a build span and each outer pass as a scan
-    /// span, so the trace makes NBJ's `#chunks · ‖S‖` cost structure visible.
+    /// Executes `r ⋈ s`, chunking whichever input is smaller. With a
+    /// recording `obs`, each chunk's hash table fill shows up as a build
+    /// span and each outer pass as a scan span, so the trace makes NBJ's
+    /// `#chunks · ‖S‖` cost structure visible.
     pub fn run_obs(
         &self,
         r: &Relation,
@@ -112,7 +108,9 @@ mod tests {
         let expected = naive_join_count(&r, &s).unwrap();
         assert_eq!(expected, expected_output(500, counts));
         dev.reset_stats();
-        let report = NestedBlockJoin::new(spec).run(&r, &s).unwrap();
+        let report = NestedBlockJoin::new(spec)
+            .run_obs(&r, &s, &Obs::off())
+            .unwrap();
         assert_eq!(report.output_records, expected);
     }
 
@@ -123,7 +121,9 @@ mod tests {
         let counts = |_k: u64| 4u64;
         let (r, s) = build_workload(dev.clone(), &spec, 2_000, counts);
         dev.reset_stats();
-        let report = NestedBlockJoin::new(spec).run(&r, &s).unwrap();
+        let report = NestedBlockJoin::new(spec)
+            .run_obs(&r, &s, &Obs::off())
+            .unwrap();
         // Chunks are sized in records; convert the measured chunk passes back.
         let chunk_records = nocap_storage::JoinHashTable::capacity_for_pages(
             spec.buffer_pages - 2,
@@ -148,7 +148,9 @@ mod tests {
         dev.reset_stats();
         // Join with inputs swapped: the executor should still chunk the
         // smaller of the two.
-        let report = NestedBlockJoin::new(spec).run(&s, &r).unwrap();
+        let report = NestedBlockJoin::new(spec)
+            .run_obs(&s, &r, &Obs::off())
+            .unwrap();
         assert_eq!(report.output_records, 1_000);
     }
 
@@ -159,7 +161,9 @@ mod tests {
         let counts = |k: u64| k % 3;
         let (r, s) = build_workload(dev.clone(), &spec, 1_000, counts);
         dev.reset_stats();
-        let report = NestedBlockJoin::new(spec).run(&r, &s).unwrap();
+        let report = NestedBlockJoin::new(spec)
+            .run_obs(&r, &s, &Obs::off())
+            .unwrap();
         assert_eq!(
             report.total_ios() as usize,
             r.num_pages() + s.num_pages(),

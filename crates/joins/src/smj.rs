@@ -14,17 +14,17 @@
 //! fused merge drives two [`LoserTree`]s of page-mode run cursors, reading
 //! only the 8-byte keys — payload bytes never move during the join itself.
 //!
-//! [`SortMergeJoin::run_parallel`] parallelizes run generation: workers
+//! [`SortMergeJoin::run_parallel_obs`] parallelizes run generation: workers
 //! claim chunks of the **fixed** page grid
 //! ([`run_chunks`](nocap_storage::run_chunks) — chunk `i` always covers
 //! pages `[i·(B−1), (i+1)·(B−1))`) from an atomic cursor and sort them
 //! independently; the runs are collected in canonical chunk order, so the
-//! merge cascade and the fused join see exactly the byte sequence the
-//! sequential executor produces. Output and per-phase modeled I/O are
-//! therefore bit-identical to [`run`](SortMergeJoin::run) at every worker
-//! count. (Each worker owns one chunk-sized sort arena, so peak sort memory
-//! is `n · (B − 1)` pages at `n` workers — the classic memory/time trade of
-//! parallel run generation; the modeled I/O is unaffected.)
+//! merge cascade and the fused join see exactly the same byte sequence at
+//! every worker count (`threads = 1` is the sequential external sort).
+//! Output and per-phase modeled I/O are therefore bit-identical for every
+//! thread count. (Each worker owns one chunk-sized sort arena, so peak sort
+//! memory is `n · (B − 1)` pages at `n` workers — the classic memory/time
+//! trade of parallel run generation; the modeled I/O is unaffected.)
 
 use std::sync::Mutex;
 
@@ -95,56 +95,15 @@ impl SortMergeJoin {
         SortMergeJoin { spec }
     }
 
-    /// Executes `r ⋈ s`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the spec's buffer budget is below
-    /// [`SMJ_MIN_BUDGET_PAGES`].
-    pub fn run(&self, r: &Relation, s: &Relation) -> nocap_storage::Result<JoinRunReport> {
-        self.run_inner(r, s, 1, &Obs::off())
-    }
-
-    /// [`run`](Self::run) with an observability channel: run-generation and
-    /// merge-cascade spans, run-size histograms, and the fused merge-join
-    /// span flow into `obs` when recording.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the spec's buffer budget is below
-    /// [`SMJ_MIN_BUDGET_PAGES`].
-    pub fn run_obs(
-        &self,
-        r: &Relation,
-        s: &Relation,
-        obs: &Obs,
-    ) -> nocap_storage::Result<JoinRunReport> {
-        self.run_inner(r, s, 1, obs)
-    }
-
     /// Executes `r ⋈ s` with `threads` workers generating sort runs
-    /// concurrently (`0` selects [`default_threads`]).
+    /// concurrently (`0` selects [`default_threads`]) — the SMJ executor
+    /// body; `threads = 1` is the sequential run.
     ///
     /// Workers claim chunks of the fixed run-generation page grid, so the
-    /// join output and the per-phase modeled I/O are bit-identical to
-    /// [`run`](Self::run) for every thread count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the spec's buffer budget is below
-    /// [`SMJ_MIN_BUDGET_PAGES`].
-    pub fn run_parallel(
-        &self,
-        r: &Relation,
-        s: &Relation,
-        threads: usize,
-    ) -> nocap_storage::Result<JoinRunReport> {
-        self.run_parallel_obs(r, s, threads, &Obs::off())
-    }
-
-    /// [`run_parallel`](Self::run_parallel) with an observability channel:
-    /// every worker's claimed sort chunks appear as tasks on its timeline in
-    /// addition to the main-thread phase spans of [`run_obs`](Self::run_obs).
+    /// join output and the per-phase modeled I/O are bit-identical for
+    /// every thread count. With a recording `obs`: run-generation and
+    /// merge-cascade spans, every worker's claimed sort chunks as tasks on
+    /// its timeline, run-size histograms and the fused merge-join span.
     ///
     /// # Panics
     ///
@@ -162,16 +121,6 @@ impl SortMergeJoin {
         } else {
             threads
         };
-        self.run_inner(r, s, threads, obs)
-    }
-
-    fn run_inner(
-        &self,
-        r: &Relation,
-        s: &Relation,
-        threads: usize,
-        obs: &Obs,
-    ) -> nocap_storage::Result<JoinRunReport> {
         let spec = &self.spec;
         let device = r.device().clone();
         let _io_trace = obs.attach_io(&device);
@@ -280,8 +229,15 @@ fn sorted_runs(
 mod tests {
     use super::*;
     use crate::naive::naive_join_count;
-    use crate::testutil::build_workload;
+    use crate::testutil::{assert_parallel_equivalence, build_workload, pinned_report};
     use nocap_storage::SimDevice;
+
+    /// Runs the join through the executor at one thread, unobserved.
+    fn run(spec: JoinSpec, r: &Relation, s: &Relation) -> JoinRunReport {
+        SortMergeJoin::new(spec)
+            .run_parallel_obs(r, s, 1, &Obs::off())
+            .unwrap()
+    }
 
     #[test]
     fn matches_naive_join_uniform() {
@@ -291,7 +247,7 @@ mod tests {
         let (r, s) = build_workload(dev.clone(), &spec, 1_500, counts);
         let expected = naive_join_count(&r, &s).unwrap();
         dev.reset_stats();
-        let report = SortMergeJoin::new(spec).run(&r, &s).unwrap();
+        let report = run(spec, &r, &s);
         assert_eq!(report.output_records, expected);
     }
 
@@ -303,7 +259,7 @@ mod tests {
         let (r, s) = build_workload(dev.clone(), &spec, 2_000, counts);
         let expected = naive_join_count(&r, &s).unwrap();
         dev.reset_stats();
-        let report = SortMergeJoin::new(spec).run(&r, &s).unwrap();
+        let report = run(spec, &r, &s);
         assert_eq!(report.output_records, expected);
     }
 
@@ -314,7 +270,7 @@ mod tests {
         let counts = |_k: u64| 2u64;
         let (r, s) = build_workload(dev.clone(), &spec, 3_000, counts);
         dev.reset_stats();
-        let report = SortMergeJoin::new(spec).run(&r, &s).unwrap();
+        let report = run(spec, &r, &s);
         assert!(
             report.partition_io.seq_writes > 0,
             "runs are written sequentially"
@@ -334,7 +290,7 @@ mod tests {
         let counts = |_k: u64| 1u64;
         let (r, s) = build_workload(dev.clone(), &spec, 1_000, counts);
         dev.reset_stats();
-        let report = SortMergeJoin::new(spec).run(&r, &s).unwrap();
+        let report = run(spec, &r, &s);
         assert_eq!(report.output_records, 1_000);
         // Each relation is read once for run generation and its single run is
         // read once for the merge.
@@ -352,7 +308,7 @@ mod tests {
         let (r, s) = build_workload(dev.clone(), &spec, 900, counts);
         let expected = naive_join_count(&r, &s).unwrap();
         dev.reset_stats();
-        let report = SortMergeJoin::new(spec).run(&r, &s).unwrap();
+        let report = run(spec, &r, &s);
         assert_eq!(report.output_records, expected);
         assert!(
             report.partition_io.seq_writes > 0,
@@ -366,7 +322,7 @@ mod tests {
         let dev = SimDevice::new_ref();
         let spec = JoinSpec::paper_synthetic(128, SMJ_MIN_BUDGET_PAGES - 1);
         let (r, s) = build_workload(dev.clone(), &spec, 100, |_| 1);
-        let _ = SortMergeJoin::new(spec).run(&r, &s);
+        let _ = SortMergeJoin::new(spec).run_parallel_obs(&r, &s, 1, &Obs::off());
     }
 
     #[test]
@@ -375,18 +331,18 @@ mod tests {
         let spec = JoinSpec::paper_synthetic(128, 12);
         let counts = |k: u64| if k.is_multiple_of(50) { 40 } else { 2 };
         let (r, s) = build_workload(dev.clone(), &spec, 2_500, counts);
-        dev.reset_stats();
-        let sequential = SortMergeJoin::new(spec).run(&r, &s).unwrap();
-        assert_eq!(sequential.output_records, naive_join_count(&r, &s).unwrap());
-        for threads in [1usize, 2, 4, 8] {
-            dev.reset_stats();
-            let parallel = SortMergeJoin::new(spec)
-                .run_parallel(&r, &s, threads)
-                .unwrap();
-            assert_eq!(parallel.output_records, sequential.output_records);
-            assert_eq!(parallel.partition_io, sequential.partition_io);
-            assert_eq!(parallel.probe_io, sequential.probe_io);
-        }
+        assert_eq!(naive_join_count(&r, &s).unwrap(), 6_900);
+        assert_parallel_equivalence(
+            "smj/B=12",
+            &[1, 2, 4, 8],
+            &pinned_report(6_900, [304, 306, 608, 0], [0, 304, 0, 0]),
+            |threads| {
+                dev.reset_stats();
+                SortMergeJoin::new(spec)
+                    .run_parallel_obs(&r, &s, threads, &Obs::off())
+                    .unwrap()
+            },
+        );
     }
 
     #[test]
@@ -394,12 +350,16 @@ mod tests {
         let dev = SimDevice::new_ref();
         let spec = JoinSpec::paper_synthetic(128, 16);
         let (r, s) = build_workload(dev.clone(), &spec, 1_200, |_| 2);
-        dev.reset_stats();
-        let sequential = SortMergeJoin::new(spec).run(&r, &s).unwrap();
-        dev.reset_stats();
-        let defaulted = SortMergeJoin::new(spec).run_parallel(&r, &s, 0).unwrap();
-        assert_eq!(defaulted.output_records, sequential.output_records);
-        assert_eq!(defaulted.partition_io, sequential.partition_io);
-        assert_eq!(defaulted.probe_io, sequential.probe_io);
+        assert_parallel_equivalence(
+            "smj/B=16",
+            &[0],
+            &pinned_report(2_400, [117, 0, 117, 0], [0, 117, 0, 0]),
+            |threads| {
+                dev.reset_stats();
+                SortMergeJoin::new(spec)
+                    .run_parallel_obs(&r, &s, threads, &Obs::off())
+                    .unwrap()
+            },
+        );
     }
 }

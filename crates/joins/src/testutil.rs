@@ -1,6 +1,6 @@
 //! Shared test support: deterministic workload builders and the
-//! **differential determinism harness** — the run-vs-`run_parallel`
-//! comparator every parallel executor in the workspace is pinned by.
+//! **determinism harness** — the thread-count comparator every executor in
+//! the workspace is pinned by.
 //!
 //! The module is compiled into the library (not `#[cfg(test)]`) so the
 //! top-level integration suites (`tests/parallel_determinism.rs`,
@@ -10,7 +10,7 @@
 
 use nocap_model::{JoinRunReport, JoinSpec};
 use nocap_storage::device::DeviceRef;
-use nocap_storage::{Record, Relation};
+use nocap_storage::{IoStats, Record, Relation};
 
 /// SplitMix64, used for deterministic shuffling in tests.
 pub fn mix(key: u64) -> u64 {
@@ -20,36 +20,54 @@ pub fn mix(key: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Asserts that a parallel executor reproduces its sequential counterpart
-/// **exactly** — identical join output and identical per-phase modeled I/O
-/// — for every thread count in `threads`.
+/// A report carrying only the deterministic payload the determinism
+/// harness compares: join output and per-phase modeled I/O, each phase
+/// given as `[seq_reads, rand_reads, seq_writes, rand_writes]`. Used to
+/// check in golden numbers as constants.
+pub fn pinned_report(output: u64, partition_io: [u64; 4], probe_io: [u64; 4]) -> JoinRunReport {
+    let io = |[seq_reads, rand_reads, seq_writes, rand_writes]: [u64; 4]| IoStats {
+        seq_reads,
+        rand_reads,
+        seq_writes,
+        rand_writes,
+    };
+    let mut report = JoinRunReport::new("pinned");
+    report.output_records = output;
+    report.partition_io = io(partition_io);
+    report.probe_io = io(probe_io);
+    report
+}
+
+/// Asserts that an executor reproduces `expected` **exactly** — identical
+/// join output and identical per-phase modeled I/O — for every thread count
+/// in `threads`.
 ///
-/// `sequential` runs once to establish the baseline; `parallel(n)` runs for
-/// each entry of `threads`. Both closures are responsible for building
-/// their own workload/device state (typically regenerating it from a fixed
-/// seed so every run starts from identical relations and clean I/O
-/// counters). This is the workspace's core engine contract in executable
-/// form: parallelism may change *when* work happens, never *what* work
-/// happens.
+/// `run(n)` runs once per entry of `threads` and is responsible for
+/// building its own workload/device state (typically regenerating it from a
+/// fixed seed so every run starts from identical relations and clean I/O
+/// counters). `expected` is a checked-in golden report (see
+/// [`pinned_report`]), so every thread count is pinned to fixed numbers,
+/// not just to each other. This is the workspace's core engine contract in
+/// executable form: parallelism may change *when* work happens, never
+/// *what* work happens.
 pub fn assert_parallel_equivalence(
     label: &str,
     threads: &[usize],
-    sequential: impl Fn() -> JoinRunReport,
-    parallel: impl Fn(usize) -> JoinRunReport,
+    expected: &JoinRunReport,
+    run: impl Fn(usize) -> JoinRunReport,
 ) {
-    let baseline = sequential();
     for &n in threads {
-        let run = parallel(n);
+        let report = run(n);
         assert_eq!(
-            run.output_records, baseline.output_records,
+            report.output_records, expected.output_records,
             "{label}: join output differs at {n} threads"
         );
         assert_eq!(
-            run.partition_io, baseline.partition_io,
+            report.partition_io, expected.partition_io,
             "{label}: partition-phase I/O differs at {n} threads"
         );
         assert_eq!(
-            run.probe_io, baseline.probe_io,
+            report.probe_io, expected.probe_io,
             "{label}: probe-phase I/O differs at {n} threads"
         );
     }

@@ -19,10 +19,11 @@ pub struct JoinRunReport {
     pub partition_io: IoStats,
     /// I/Os performed during the probe / partition-wise join phase.
     pub probe_io: IoStats,
-    /// Wall-clock seconds spent in CPU work as measured by the executor
-    /// (hashing, sorting, probing). Reported separately because the paper's
-    /// TPC-H discussion distinguishes I/O time from total time.
-    pub cpu_seconds: f64,
+    /// Wall-clock seconds of the whole run, measured by the executor's
+    /// run stopwatch (CPU work and simulated-device time alike). Reported
+    /// separately because the paper's TPC-H discussion distinguishes I/O
+    /// time from total time. Excluded from equality.
+    pub wall_seconds: f64,
     /// Structured observability trace: per-phase spans, skew histograms and
     /// worker timelines. `None` unless the run was observed with a recording
     /// [`Obs`] handle. Excluded from equality — timing must never
@@ -30,16 +31,15 @@ pub struct JoinRunReport {
     pub trace: Option<ExecutionTrace>,
 }
 
-/// Equality over the deterministic payload only: the `trace` field carries
-/// wall-clock data and two otherwise-identical runs would never compare
-/// equal if it were included.
+/// Equality over the deterministic payload only: `wall_seconds` and the
+/// `trace` carry wall-clock data, and two otherwise-identical runs would
+/// never compare equal if they were included.
 impl PartialEq for JoinRunReport {
     fn eq(&self, other: &Self) -> bool {
         self.algorithm == other.algorithm
             && self.output_records == other.output_records
             && self.partition_io == other.partition_io
             && self.probe_io == other.probe_io
-            && self.cpu_seconds == other.cpu_seconds
     }
 }
 
@@ -51,17 +51,17 @@ impl JoinRunReport {
             output_records: 0,
             partition_io: IoStats::new(),
             probe_io: IoStats::new(),
-            cpu_seconds: 0.0,
+            wall_seconds: 0.0,
             trace: None,
         }
     }
 
     /// Finalizes the report at the end of a run: stops the whole-run
-    /// stopwatch into `cpu_seconds` and attaches the recorded trace, if any.
-    /// Every executor ends with this, so CPU time is measured once,
+    /// stopwatch into `wall_seconds` and attaches the recorded trace, if
+    /// any. Every executor ends with this, so run time is measured once,
     /// consistently, instead of by per-executor stopwatch code.
     pub fn finish_run(&mut self, timer: RunTimer, obs: &Obs) {
-        self.cpu_seconds = timer.stop(obs);
+        self.wall_seconds = timer.stop(obs);
         self.trace = obs.take_trace();
     }
 
@@ -80,9 +80,10 @@ impl JoinRunReport {
         device.trace_latency_secs(&self.total_io())
     }
 
-    /// Estimated total latency (I/O + measured CPU time) in seconds.
+    /// Estimated total latency (modeled I/O + measured wall time) in
+    /// seconds.
     pub fn total_latency_secs(&self, device: &DeviceProfile) -> f64 {
-        self.io_latency_secs(device) + self.cpu_seconds
+        self.io_latency_secs(device) + self.wall_seconds
     }
 }
 
@@ -105,7 +106,7 @@ mod tests {
     fn latency_adds_cpu_time() {
         let mut report = JoinRunReport::new("TEST");
         report.probe_io.record_many(IoKind::SeqRead, 1000);
-        report.cpu_seconds = 0.5;
+        report.wall_seconds = 0.5;
         let dev = DeviceProfile::ssd_no_sync();
         let io_only = report.io_latency_secs(&dev);
         assert!(io_only > 0.0);
@@ -122,7 +123,11 @@ mod tests {
         assert!(observed.trace.is_some(), "recording run must carry a trace");
         let mut blind = observed.clone();
         blind.trace = None;
-        assert_eq!(observed, blind, "trace must not participate in equality");
+        blind.wall_seconds += 1.0;
+        assert_eq!(
+            observed, blind,
+            "trace and wall time must not participate in equality"
+        );
     }
 
     #[test]
@@ -132,6 +137,6 @@ mod tests {
         let mut report = JoinRunReport::new("TEST");
         report.finish_run(timer, &obs);
         assert!(report.trace.is_none());
-        assert!(report.cpu_seconds >= 0.0);
+        assert!(report.wall_seconds >= 0.0);
     }
 }

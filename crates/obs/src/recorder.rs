@@ -274,7 +274,7 @@ impl Obs {
     /// the device-level event stream into the run's [`ExecutionTrace`].
     /// Attaching snapshots the device counters once, so the event stream
     /// starts marker-bounded; nested attachments (an executor inside
-    /// `collect_and_run`) share the outer sink. The sink is removed when the
+    /// `collect_and_run_parallel_obs`) share the outer sink. The sink is removed when the
     /// outermost guard drops.
     pub fn attach_io(&self, device: &DeviceRef) -> IoTraceGuard {
         let Some(i) = self.inner.as_ref() else {
@@ -294,7 +294,7 @@ impl Obs {
     }
 
     /// Starts the whole-run stopwatch. Unlike phase spans, the timer always
-    /// reads the clock — its elapsed time is `JoinRunReport::cpu_seconds`,
+    /// reads the clock — its elapsed time is `JoinRunReport::wall_seconds`,
     /// which the executors have always measured.
     pub fn run_timer(&self) -> RunTimer {
         RunTimer {

@@ -26,18 +26,18 @@
 //!   costs exactly `⌈n / b⌉` random writes no matter how many workers fed
 //!   it or in which order.
 //! * [`quota`] — [`even_caps`] carves a page budget into per-partition
-//!   quotas (the deterministic destaging policy shared by the sequential
-//!   and parallel residual partitioners).
-//! * [`stage`] — [`ParallelStager`], the concurrent counterpart of the
-//!   DHH-style residual partitioner: per-worker staging buffers, a shared
-//!   atomic record count per partition, and quota-triggered destaging whose
-//!   outcome depends only on each partition's total record count — never on
-//!   thread interleaving — which is what makes `run_parallel(n)` produce
-//!   bit-identical I/O counts to the sequential executor.
-//! * [`quota_stage`] — [`QuotaStager`], the *sequential* twin of the above:
-//!   the quota-destaging mechanism shared by NOCAP's residual partitioner
-//!   and DHH's partitioner (columnar `RecordBatch` staging, zero-copy
-//!   inserts), with routing left to the caller.
+//!   quotas (the deterministic destaging policy of NOCAP's residual
+//!   partitions and of DHH's partitions).
+//! * [`stage`] — [`ParallelStager`], the DHH-style residual stager both
+//!   NOCAP and DHH partition R through: per-worker staging buffers, a
+//!   shared atomic record count per partition, and quota-triggered
+//!   destaging whose outcome depends only on each partition's total record
+//!   count — never on thread interleaving — which is what makes an
+//!   executor's I/O counts identical at every thread count.
+//! * [`quota_stage`] — [`QuotaStager`], the single-threaded reference model
+//!   of the above (columnar `RecordBatch` staging, zero-copy inserts,
+//!   routing left to the caller); the tests pin [`ParallelStager`] against
+//!   it.
 //!
 //! The crate is deliberately generic: routing (which partition a record
 //! belongs to) stays with the caller, so `nocap` (rounded-hash routing),

@@ -12,7 +12,7 @@
 //! * **ordered work queue** ([`ordered_tasks`]): the same atomic claiming,
 //!   but results land at their task index — used where downstream
 //!   consumers need the artifacts in canonical order (the sort chunks of
-//!   `SortMergeJoin::run_parallel`), with per-worker reusable state so the
+//!   `SortMergeJoin::run_parallel_obs`), with per-worker reusable state so the
 //!   tasks themselves stay allocation-free.
 //!
 //! All are built on `std::thread::scope`, so borrowed state (the shared
@@ -76,8 +76,8 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// token. Worker panics are caught and surfaced as
 /// [`StorageError::WorkerPanicked`] instead of aborting the process. With
 /// `threads == 1` the closure runs on the calling thread — no spawn
-/// overhead, which keeps `run_parallel(1)` an honest baseline for scaling
-/// measurements.
+/// overhead, which makes an executor at `threads = 1` the sequential run
+/// and an honest baseline for scaling measurements.
 pub fn run_workers<T, F>(threads: usize, f: F) -> Result<Vec<T>>
 where
     T: Send,

@@ -6,7 +6,7 @@
 //!
 //! [`SharedPartitionWriter`] wraps one [`PartitionWriter`] — and therefore
 //! one output-buffer page — behind a mutex. All workers feeding a partition
-//! share that single buffer, exactly like the sequential executor, so a
+//! share that single buffer, exactly like a single-threaded scan, so a
 //! partition receiving `n` records flushes exactly `⌈n / b⌉` pages
 //! regardless of concurrency or arrival order. (The alternative — a
 //! private buffer page per worker per partition — would multiply the
@@ -75,12 +75,11 @@ impl SharedPartitionWriter {
     }
 }
 
-/// A set of shared writers, one per partition — the concurrent counterpart
-/// of the `Vec<PartitionWriter>` every sequential partitioning join keeps.
+/// A set of shared writers, one per partition — the concurrent form of a
+/// partitioning join's `Vec<PartitionWriter>`.
 ///
 /// Entries can be absent (`None`) so the NOCAP S-pass can allocate writers
-/// only for the residual partitions whose page-out bit is set, mirroring
-/// the sequential executor page for page.
+/// only for the residual partitions whose page-out bit is set.
 pub struct SharedWriterSet {
     writers: Vec<Option<SharedPartitionWriter>>,
 }

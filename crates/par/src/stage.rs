@@ -1,16 +1,18 @@
 //! The concurrent residual stager: per-worker staging buffers with
 //! deterministic, quota-triggered destaging.
 //!
-//! This is the parallel counterpart of the DHH-style residual partitioner.
-//! Each worker stages the records it routes in private, lock-free buffers
-//! (one per partition). The *accounting* is shared: a per-partition atomic
-//! record count, charged with the same `hash_table_pages` formula the
-//! sequential partitioner uses. The moment a partition's global staged
-//! footprint exceeds its quota (see [`crate::quota::even_caps`]), the
-//! worker that crossed the threshold flips the partition's page-out bit and
-//! drains its own staged records into the partition's shared spill writer;
-//! other workers drain theirs lazily — on their next touch of the
-//! partition, or at the merge step in [`ParallelStager::finish`].
+//! This is the DHH-style residual partitioner NOCAP and DHH stage R
+//! through, at every thread count. Each worker stages the records it
+//! routes in private, lock-free buffers (one per partition). The
+//! *accounting* is shared: a per-partition atomic record count, charged
+//! with the same `hash_table_pages` formula the single-threaded
+//! [`QuotaStager`](crate::QuotaStager) reference uses. The moment a
+//! partition's global staged footprint exceeds its quota (see
+//! [`crate::quota::even_caps`]), the worker that crossed the threshold
+//! flips the partition's page-out bit and drains its own staged records
+//! into the partition's shared spill writer; other workers drain theirs
+//! lazily — on their next touch of the partition, or at the merge step in
+//! [`ParallelStager::finish`].
 //!
 //! **Why this is deterministic.** The staged count of a partition only
 //! grows until the partition is destaged, so the page-out bit ends up set
@@ -19,17 +21,17 @@
 //! scan order and the thread interleaving. And because a destaged
 //! partition funnels all `n_p` records through one shared single-buffer
 //! writer, it flushes exactly `⌈n_p / b⌉` pages. Both the destaged *set*
-//! and the *per-partition write counts* therefore match the sequential
-//! executor exactly, for any worker count.
+//! and the *per-partition write counts* therefore match the single-threaded
+//! reference exactly, for any worker count.
 //!
 //! **Why the memory model stays honest.** The staged charge is computed
-//! from the global count with the sequential formula, partitions stay
-//! within their quotas, and the quotas sum to the residual budget — so the
-//! total staged footprint plus one output-buffer page per destaged
-//! partition never exceeds the budget, the same §4.1 invariant the
-//! sequential partitioner maintains. The only transient slack is records
-//! a worker staged in the instant before it observed a concurrent destage;
-//! they are bounded by one insert per worker and drained on first touch.
+//! from the global count with the same formula, partitions stay within
+//! their quotas, and the quotas sum to the residual budget — so the total
+//! staged footprint plus one output-buffer page per destaged partition
+//! never exceeds the budget, the §4.1 invariant. The only transient slack
+//! is records a worker staged in the instant before it observed a
+//! concurrent destage; they are bounded by one insert per worker and
+//! drained on first touch.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -113,8 +115,8 @@ impl ParallelStager {
     }
 
     /// Pages currently charged against the residual budget: staged records
-    /// (by the sequential `hash_table_pages` formula over the global
-    /// counts) plus one output-buffer page per destaged partition.
+    /// (by the `hash_table_pages` formula over the global counts) plus one
+    /// output-buffer page per destaged partition.
     pub fn pages_in_use(&self) -> usize {
         self.parts
             .iter()
@@ -328,9 +330,8 @@ mod tests {
         // The determinism bridge both DHH and NOCAP stand on: the same keys
         // through the same quotas must produce identical page-out bits,
         // identical per-partition spill pages and identical total I/O,
-        // whether staged by the sequential QuotaStager (the `run` path) or
-        // by the ParallelStager at any worker count (the `run_parallel`
-        // path).
+        // whether staged by the single-threaded QuotaStager reference or by
+        // the ParallelStager at any worker count.
         let spec = spec();
         let parts = 6usize;
         let budget = 10usize;

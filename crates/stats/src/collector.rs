@@ -329,7 +329,7 @@ impl StatsCollector {
     /// **Determinism.** Each shard's sketch depends only on that shard's
     /// pages, and the fold order is fixed, so the summary is bit-identical
     /// for every thread count and every scheduling interleaving — the
-    /// statistics analog of `run_parallel`'s I/O-trace guarantee. With one
+    /// statistics analog of the executors' I/O-trace guarantee. With one
     /// thread this *is* sequential collection (the workers run on the
     /// calling thread), so `collect_parallel(_, _, n) ==
     /// collect_parallel(_, _, 1)` for all `n` on every workload; it also

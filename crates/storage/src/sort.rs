@@ -26,7 +26,7 @@
 //! The chunk grid of run generation ([`run_chunks`]) is **fixed by the data
 //! and the budget, never by the worker count**: chunk `i` covers pages
 //! `[i·(B−1), (i+1)·(B−1))`. This is what lets
-//! `SortMergeJoin::run_parallel` hand chunks to workers and still produce
+//! `SortMergeJoin::run_parallel_obs` hand chunks to workers and still produce
 //! bit-identical runs (and therefore identical output and modeled I/O) at
 //! every thread count — the same fixed-grid discipline as the sharded
 //! statistics collector.

@@ -5,9 +5,10 @@
 //! cargo run --release --example memory_sweep
 //! ```
 
-use nocap_suite::joins::{DhhConfig, DhhJoin, GraceHashJoin, HistoJoin, SortMergeJoin};
+use nocap_suite::joins::{DhhConfig, DhhJoin, GraceHashJoin, SortMergeJoin};
 use nocap_suite::model::JoinSpec;
 use nocap_suite::nocap::{ocap, NocapConfig, NocapJoin, OcapConfig};
+use nocap_suite::obs::Obs;
 use nocap_suite::storage::SimDevice;
 use nocap_suite::workload::{synthetic, Correlation, SyntheticConfig};
 
@@ -31,27 +32,27 @@ fn main() {
 
         device.reset_stats();
         let nocap_ios = NocapJoin::new(spec, NocapConfig::default())
-            .run(&wl.r, &wl.s, &wl.mcvs)
+            .run_parallel_obs(&wl.r, &wl.s, &wl.mcvs, 1, &Obs::off())
             .unwrap()
             .total_ios();
         device.reset_stats();
         let dhh_ios = DhhJoin::new(spec, DhhConfig::default())
-            .run(&wl.r, &wl.s, &wl.mcvs)
+            .run_parallel_obs(&wl.r, &wl.s, &wl.mcvs, 1, &Obs::off())
             .unwrap()
             .total_ios();
         device.reset_stats();
-        let histo_ios = HistoJoin::new(spec)
-            .run(&wl.r, &wl.s, &wl.mcvs)
+        let histo_ios = DhhJoin::new(spec, DhhConfig::histojoin())
+            .run_parallel_obs(&wl.r, &wl.s, &wl.mcvs, 1, &Obs::off())
             .unwrap()
             .total_ios();
         device.reset_stats();
         let ghj_ios = GraceHashJoin::new(spec)
-            .run(&wl.r, &wl.s)
+            .run_parallel_obs(&wl.r, &wl.s, 1, &Obs::off())
             .unwrap()
             .total_ios();
         device.reset_stats();
         let smj_ios = SortMergeJoin::new(spec)
-            .run(&wl.r, &wl.s)
+            .run_parallel_obs(&wl.r, &wl.s, 1, &Obs::off())
             .unwrap()
             .total_ios();
         let bound = ocap(&wl.ct, &spec, &OcapConfig::default()).total_io_pages;

@@ -8,6 +8,7 @@
 use nocap_suite::joins::{DhhConfig, DhhJoin};
 use nocap_suite::model::JoinSpec;
 use nocap_suite::nocap::{NocapConfig, NocapJoin};
+use nocap_suite::obs::Obs;
 use nocap_suite::storage::{DeviceProfile, SimDevice};
 use nocap_suite::workload::{synthetic, Correlation, SyntheticConfig};
 
@@ -41,13 +42,13 @@ fn main() {
     // 4. Run NOCAP.
     device.reset_stats();
     let nocap_report = NocapJoin::new(spec, NocapConfig::default())
-        .run(&workload.r, &workload.s, &workload.mcvs)
+        .run_parallel_obs(&workload.r, &workload.s, &workload.mcvs, 1, &Obs::off())
         .expect("NOCAP join");
 
     // 5. Run DHH with its default (PostgreSQL-style) thresholds.
     device.reset_stats();
     let dhh_report = DhhJoin::new(spec, DhhConfig::default())
-        .run(&workload.r, &workload.s, &workload.mcvs)
+        .run_parallel_obs(&workload.r, &workload.s, &workload.mcvs, 1, &Obs::off())
         .expect("DHH join");
 
     assert_eq!(nocap_report.output_records, dhh_report.output_records);

@@ -9,6 +9,7 @@
 
 use nocap_suite::model::JoinSpec;
 use nocap_suite::nocap::{NocapConfig, NocapJoin};
+use nocap_suite::obs::Obs;
 use nocap_suite::stats::StatsCollector;
 use nocap_suite::storage::{BufferPool, SimDevice};
 use nocap_suite::workload::{synthetic, Correlation, SyntheticConfig};
@@ -72,11 +73,11 @@ fn main() {
     let join = NocapJoin::new(spec, NocapConfig::default());
     device.reset_stats();
     let sketch_report = join
-        .run_with_collected_stats(&workload.r, &workload.s, &summary)
+        .run_parallel_with_collected_stats_obs(&workload.r, &workload.s, &summary, 1, &Obs::off())
         .expect("sketch-planned join");
     device.reset_stats();
     let oracle_report = join
-        .run(&workload.r, &workload.s, &workload.mcvs)
+        .run_parallel_obs(&workload.r, &workload.s, &workload.mcvs, 1, &Obs::off())
         .expect("oracle-planned join");
 
     assert_eq!(sketch_report.output_records, oracle_report.output_records);

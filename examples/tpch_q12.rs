@@ -9,6 +9,7 @@
 use nocap_suite::joins::{DhhConfig, DhhJoin};
 use nocap_suite::model::JoinSpec;
 use nocap_suite::nocap::{NocapConfig, NocapJoin};
+use nocap_suite::obs::Obs;
 use nocap_suite::storage::{DeviceProfile, SimDevice};
 use nocap_suite::workload::tpch::{self, TpchQ12Config};
 
@@ -28,11 +29,11 @@ fn main() {
             let spec = JoinSpec::paper_synthetic(config.record_bytes, budget);
             device.reset_stats();
             let nocap = NocapJoin::new(spec, NocapConfig::default())
-                .run(&wl.r, &wl.s, &wl.mcvs)
+                .run_parallel_obs(&wl.r, &wl.s, &wl.mcvs, 1, &Obs::off())
                 .expect("NOCAP");
             device.reset_stats();
             let dhh = DhhJoin::new(spec, DhhConfig::default())
-                .run(&wl.r, &wl.s, &wl.mcvs)
+                .run_parallel_obs(&wl.r, &wl.s, &wl.mcvs, 1, &Obs::off())
                 .expect("DHH");
             assert_eq!(nocap.output_records, dhh.output_records);
             println!(

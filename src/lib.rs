@@ -13,9 +13,10 @@
 //!   phase spans, counters, histograms and chrome://tracing emitters.
 //! * [`par`] — the multi-threaded execution engine: worker pool, sharded
 //!   spill writers and the deterministic concurrent residual stager behind
-//!   `NocapJoin::run_parallel`.
+//!   `NocapJoin::run_parallel_obs`.
 //! * [`nocap`] — the OCAP and NOCAP algorithms (the paper's contribution).
-//! * [`joins`] — baseline joins: NBJ, GHJ, SMJ, DHH, Histojoin.
+//! * [`joins`] — baseline joins: NBJ, GHJ, SMJ, DHH (with its Histojoin
+//!   preset).
 //! * [`workload`] — synthetic, TPC-H-like, JCC-H-like and JOB-like generators.
 
 pub use nocap;

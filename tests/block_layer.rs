@@ -99,10 +99,23 @@ impl Join {
     fn run(&self, wl: &GeneratedWorkload, threads: usize) -> Result<JoinRunReport> {
         let spec = JoinSpec::paper_synthetic(128, BUDGET_PAGES);
         match self {
-            Join::Nocap => NocapJoin::new(spec, NocapConfig::default())
-                .run_parallel(&wl.r, &wl.s, &wl.mcvs, threads),
-            Join::Dhh => DhhJoin::with_defaults(spec).run_parallel(&wl.r, &wl.s, &wl.mcvs, threads),
-            Join::Smj => SortMergeJoin::new(spec).run_parallel(&wl.r, &wl.s, threads),
+            Join::Nocap => NocapJoin::new(spec, NocapConfig::default()).run_parallel_obs(
+                &wl.r,
+                &wl.s,
+                &wl.mcvs,
+                threads,
+                &Obs::off(),
+            ),
+            Join::Dhh => DhhJoin::with_defaults(spec).run_parallel_obs(
+                &wl.r,
+                &wl.s,
+                &wl.mcvs,
+                threads,
+                &Obs::off(),
+            ),
+            Join::Smj => {
+                SortMergeJoin::new(spec).run_parallel_obs(&wl.r, &wl.s, threads, &Obs::off())
+            }
         }
     }
 

@@ -3,10 +3,11 @@
 //! the skew-aware executors must actually benefit from skew.
 
 use nocap_suite::joins::{
-    naive_join_count, DhhConfig, DhhJoin, GraceHashJoin, HistoJoin, NestedBlockJoin, SortMergeJoin,
+    naive_join_count, DhhConfig, DhhJoin, GraceHashJoin, NestedBlockJoin, SortMergeJoin,
 };
 use nocap_suite::model::JoinSpec;
 use nocap_suite::nocap::{NocapConfig, NocapJoin};
+use nocap_suite::obs::Obs;
 use nocap_suite::storage::SimDevice;
 use nocap_suite::workload::{synthetic, Correlation, GeneratedWorkload, SyntheticConfig};
 
@@ -34,7 +35,7 @@ fn all_outputs(wl: &GeneratedWorkload, spec: JoinSpec) -> Vec<(&'static str, u64
     results.push((
         "NOCAP",
         NocapJoin::new(spec, NocapConfig::default())
-            .run(&wl.r, &wl.s, &wl.mcvs)
+            .run_parallel_obs(&wl.r, &wl.s, &wl.mcvs, 1, &Obs::off())
             .unwrap()
             .output_records,
     ));
@@ -42,15 +43,15 @@ fn all_outputs(wl: &GeneratedWorkload, spec: JoinSpec) -> Vec<(&'static str, u64
     results.push((
         "DHH",
         DhhJoin::new(spec, DhhConfig::default())
-            .run(&wl.r, &wl.s, &wl.mcvs)
+            .run_parallel_obs(&wl.r, &wl.s, &wl.mcvs, 1, &Obs::off())
             .unwrap()
             .output_records,
     ));
     device.reset_stats();
     results.push((
         "Histojoin",
-        HistoJoin::new(spec)
-            .run(&wl.r, &wl.s, &wl.mcvs)
+        DhhJoin::new(spec, DhhConfig::histojoin())
+            .run_parallel_obs(&wl.r, &wl.s, &wl.mcvs, 1, &Obs::off())
             .unwrap()
             .output_records,
     ));
@@ -58,7 +59,7 @@ fn all_outputs(wl: &GeneratedWorkload, spec: JoinSpec) -> Vec<(&'static str, u64
     results.push((
         "GHJ",
         GraceHashJoin::new(spec)
-            .run(&wl.r, &wl.s)
+            .run_parallel_obs(&wl.r, &wl.s, 1, &Obs::off())
             .unwrap()
             .output_records,
     ));
@@ -66,7 +67,7 @@ fn all_outputs(wl: &GeneratedWorkload, spec: JoinSpec) -> Vec<(&'static str, u64
     results.push((
         "SMJ",
         SortMergeJoin::new(spec)
-            .run(&wl.r, &wl.s)
+            .run_parallel_obs(&wl.r, &wl.s, 1, &Obs::off())
             .unwrap()
             .output_records,
     ));
@@ -74,7 +75,7 @@ fn all_outputs(wl: &GeneratedWorkload, spec: JoinSpec) -> Vec<(&'static str, u64
     results.push((
         "NBJ",
         NestedBlockJoin::new(spec)
-            .run(&wl.r, &wl.s)
+            .run_obs(&wl.r, &wl.s, &Obs::off())
             .unwrap()
             .output_records,
     ));
@@ -129,12 +130,12 @@ fn nocap_never_does_more_io_than_ghj() {
         let spec = JoinSpec::paper_synthetic(128, budget);
         device.reset_stats();
         let nocap_ios = NocapJoin::new(spec, NocapConfig::default())
-            .run(&wl.r, &wl.s, &wl.mcvs)
+            .run_parallel_obs(&wl.r, &wl.s, &wl.mcvs, 1, &Obs::off())
             .unwrap()
             .total_ios();
         device.reset_stats();
         let ghj_ios = GraceHashJoin::new(spec)
-            .run(&wl.r, &wl.s)
+            .run_parallel_obs(&wl.r, &wl.s, 1, &Obs::off())
             .unwrap()
             .total_ios();
         assert!(
@@ -154,12 +155,12 @@ fn nocap_beats_dhh_under_medium_skew_and_small_memory() {
     let spec = JoinSpec::paper_synthetic(128, 48);
     device.reset_stats();
     let nocap_ios = NocapJoin::new(spec, NocapConfig::default())
-        .run(&wl.r, &wl.s, &wl.mcvs)
+        .run_parallel_obs(&wl.r, &wl.s, &wl.mcvs, 1, &Obs::off())
         .unwrap()
         .total_ios();
     device.reset_stats();
     let dhh_ios = DhhJoin::new(spec, DhhConfig::default())
-        .run(&wl.r, &wl.s, &wl.mcvs)
+        .run_parallel_obs(&wl.r, &wl.s, &wl.mcvs, 1, &Obs::off())
         .unwrap()
         .total_ios();
     assert!(
@@ -178,12 +179,12 @@ fn skew_makes_the_join_cheaper_for_correlation_aware_algorithms() {
 
     uniform.r.device().reset_stats();
     let uniform_ios = NocapJoin::new(spec, NocapConfig::default())
-        .run(&uniform.r, &uniform.s, &uniform.mcvs)
+        .run_parallel_obs(&uniform.r, &uniform.s, &uniform.mcvs, 1, &Obs::off())
         .unwrap()
         .total_ios();
     skewed.r.device().reset_stats();
     let skewed_ios = NocapJoin::new(spec, NocapConfig::default())
-        .run(&skewed.r, &skewed.s, &skewed.mcvs)
+        .run_parallel_obs(&skewed.r, &skewed.s, &skewed.mcvs, 1, &Obs::off())
         .unwrap()
         .total_ios();
     assert!(

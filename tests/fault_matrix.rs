@@ -24,6 +24,7 @@ use std::sync::Arc;
 use nocap_suite::joins::{DhhJoin, SortMergeJoin};
 use nocap_suite::model::{JoinRunReport, JoinSpec};
 use nocap_suite::nocap::{NocapConfig, NocapJoin};
+use nocap_suite::obs::Obs;
 use nocap_suite::storage::device::DeviceRef;
 use nocap_suite::storage::{
     BlockDevice, CheckedDevice, FaultDevice, FaultKind, FaultPlan, FaultSpec, FileDevice, IoKind,
@@ -88,10 +89,23 @@ impl Join {
     fn run(&self, wl: &GeneratedWorkload, threads: usize) -> Result<JoinRunReport> {
         let spec = JoinSpec::paper_synthetic(128, BUDGET_PAGES);
         match self {
-            Join::Nocap => NocapJoin::new(spec, NocapConfig::default())
-                .run_parallel(&wl.r, &wl.s, &wl.mcvs, threads),
-            Join::Dhh => DhhJoin::with_defaults(spec).run_parallel(&wl.r, &wl.s, &wl.mcvs, threads),
-            Join::Smj => SortMergeJoin::new(spec).run_parallel(&wl.r, &wl.s, threads),
+            Join::Nocap => NocapJoin::new(spec, NocapConfig::default()).run_parallel_obs(
+                &wl.r,
+                &wl.s,
+                &wl.mcvs,
+                threads,
+                &Obs::off(),
+            ),
+            Join::Dhh => DhhJoin::with_defaults(spec).run_parallel_obs(
+                &wl.r,
+                &wl.s,
+                &wl.mcvs,
+                threads,
+                &Obs::off(),
+            ),
+            Join::Smj => {
+                SortMergeJoin::new(spec).run_parallel_obs(&wl.r, &wl.s, threads, &Obs::off())
+            }
         }
     }
 }

@@ -4,7 +4,7 @@
 //!   front** from a caller-owned [`BufferPool`]; an oversubscribed pool must
 //!   fail with a clean [`StorageError::OutOfMemory`] before any page is
 //!   read, releasing everything it reserved.
-//! * `run_degrading` walks the budget ladder under admission pressure and
+//! * `run_degrading_obs` walks the budget ladder under admission pressure and
 //!   either succeeds at a smaller budget (recorded, correct output) or
 //!   surfaces the final out-of-memory error with the pool fully released.
 //! * Every executor survives a sweep of tiny-but-legal budgets without a
@@ -19,6 +19,7 @@ use nocap_suite::joins::{
 };
 use nocap_suite::model::{BudgetLadder, JoinSpec};
 use nocap_suite::nocap::{NocapConfig, NocapJoin};
+use nocap_suite::obs::Obs;
 use nocap_suite::stats::{StatsCollector, StatsConfig};
 use nocap_suite::storage::device::DeviceRef;
 use nocap_suite::storage::{BufferPool, SimDevice, StorageError};
@@ -108,10 +109,10 @@ fn degrading_runs_absorb_admission_pressure_or_fail_clean() {
     for label in ["nocap", "dhh"] {
         let err = match label {
             "nocap" => nocap
-                .run_degrading(&wl.r, &wl.s, &wl.mcvs, &hopeless, &ladder)
+                .run_degrading_obs(&wl.r, &wl.s, &wl.mcvs, &hopeless, &ladder, &Obs::off())
                 .expect_err("a 2-page pool cannot admit the 5-page floor"),
             _ => dhh
-                .run_degrading(&wl.r, &wl.s, &wl.mcvs, &hopeless, &ladder)
+                .run_degrading_obs(&wl.r, &wl.s, &wl.mcvs, &hopeless, &ladder, &Obs::off())
                 .expect_err("a 2-page pool cannot admit the 5-page floor"),
         };
         assert!(
@@ -132,10 +133,10 @@ fn degrading_runs_absorb_admission_pressure_or_fail_clean() {
     for label in ["nocap", "dhh"] {
         let run = match label {
             "nocap" => nocap
-                .run_degrading(&wl.r, &wl.s, &wl.mcvs, &tight, &ladder)
+                .run_degrading_obs(&wl.r, &wl.s, &wl.mcvs, &tight, &ladder, &Obs::off())
                 .expect("the ladder must fit a 28-page pool"),
             _ => dhh
-                .run_degrading(&wl.r, &wl.s, &wl.mcvs, &tight, &ladder)
+                .run_degrading_obs(&wl.r, &wl.s, &wl.mcvs, &tight, &ladder, &Obs::off())
                 .expect("the ladder must fit a 28-page pool"),
         };
         assert!(
@@ -166,7 +167,7 @@ fn tiny_budget_sweeps_never_panic_and_never_leak() {
                 "nocap",
                 Box::new(|| {
                     NocapJoin::new(spec, NocapConfig::default())
-                        .run(&wl.r, &wl.s, &wl.mcvs)
+                        .run_parallel_obs(&wl.r, &wl.s, &wl.mcvs, 1, &Obs::off())
                         .map(|r| r.output_records)
                 }),
             ),
@@ -174,7 +175,7 @@ fn tiny_budget_sweeps_never_panic_and_never_leak() {
                 "dhh",
                 Box::new(|| {
                     DhhJoin::with_defaults(spec)
-                        .run(&wl.r, &wl.s, &wl.mcvs)
+                        .run_parallel_obs(&wl.r, &wl.s, &wl.mcvs, 1, &Obs::off())
                         .map(|r| r.output_records)
                 }),
             ),
@@ -182,7 +183,7 @@ fn tiny_budget_sweeps_never_panic_and_never_leak() {
                 "ghj",
                 Box::new(|| {
                     GraceHashJoin::new(spec)
-                        .run(&wl.r, &wl.s)
+                        .run_parallel_obs(&wl.r, &wl.s, 1, &Obs::off())
                         .map(|r| r.output_records)
                 }),
             ),
@@ -190,7 +191,7 @@ fn tiny_budget_sweeps_never_panic_and_never_leak() {
                 "smj",
                 Box::new(|| {
                     SortMergeJoin::new(spec)
-                        .run(&wl.r, &wl.s)
+                        .run_parallel_obs(&wl.r, &wl.s, 1, &Obs::off())
                         .map(|r| r.output_records)
                 }),
             ),
@@ -198,7 +199,7 @@ fn tiny_budget_sweeps_never_panic_and_never_leak() {
                 "nbj",
                 Box::new(|| {
                     NestedBlockJoin::new(spec)
-                        .run(&wl.r, &wl.s)
+                        .run_obs(&wl.r, &wl.s, &Obs::off())
                         .map(|r| r.output_records)
                 }),
             ),

@@ -1,15 +1,15 @@
-//! End-to-end guarantees of the parallel execution engine, pinned by the
-//! shared differential harness
+//! End-to-end guarantees of the execution engine, pinned by the shared
+//! determinism harness
 //! (`nocap_suite::joins::testutil::assert_parallel_equivalence`):
 //!
-//! 1. `NocapJoin::run_parallel(n)`, `DhhJoin::run_parallel(n)` and
-//!    `SortMergeJoin::run_parallel(n)` produce the same join output and the
-//!    same per-phase modeled I/O as their sequential `run` for
-//!    n ∈ {1, 2, 4, 8}, across skewed (Zipf 1.1), uniform and JCC-H
-//!    workloads and several memory budgets.
+//! 1. Every executor has one body for every thread count. For
+//!    n ∈ {1, 2, 4, 8}, `NocapJoin`, `DhhJoin` and `SortMergeJoin` produce
+//!    the join output and per-phase modeled I/O checked in below — the
+//!    numbers the former sequential executors produced — across skewed
+//!    (Zipf 1.1), uniform and JCC-H workloads and several memory budgets.
 //! 2. The whole sketch-plan-execute pipeline is thread-count invariant:
-//!    `collect_and_run_parallel(n)` reproduces `collect_and_run` exactly
-//!    (same sharded summary → same plan → same I/O), and
+//!    `collect_and_run_parallel_obs(n)` reproduces its pinned numbers
+//!    exactly (same sharded summary → same plan → same I/O), and
 //!    `StatsCollector::collect_parallel` yields a bit-identical summary for
 //!    every n on generated workloads.
 //! 3. The thread-safe `BufferPool` never over-commits its budget under a
@@ -18,7 +18,7 @@
 
 use std::sync::Barrier;
 
-use nocap_suite::joins::testutil::assert_parallel_equivalence;
+use nocap_suite::joins::testutil::{assert_parallel_equivalence, pinned_report};
 use nocap_suite::joins::{DhhJoin, GraceHashJoin, SortMergeJoin};
 use nocap_suite::model::{JoinRunReport, JoinSpec, ProbeBloom};
 use nocap_suite::nocap::{NocapConfig, NocapJoin};
@@ -88,32 +88,145 @@ fn workload_grid() -> Vec<(&'static str, Workload)> {
     ]
 }
 
+/// One pinned cell: `(workload, budget pages, output, partition I/O, probe
+/// I/O)`, each I/O given as `[seq_reads, rand_reads, seq_writes,
+/// rand_writes]`. The numbers were recorded from the sequential executors
+/// (`run` / `collect_and_run` / `run_with_collected_stats`) before they were
+/// folded into the single thread-count-parameterized body, so every thread
+/// count below is pinned to what the removed code produced.
+type Pin = (&'static str, usize, u64, [u64; 4], [u64; 4]);
+
+/// NOCAP on the workload grid (B = 32, 96) and the bloom cells (B = 48).
+const NOCAP_PINS: [Pin; 9] = [
+    ("zipf_1.1", 32, 48_000, [1743, 0, 0, 532], [539, 0, 0, 7]),
+    ("zipf_1.1", 96, 48_000, [1743, 0, 0, 532], [535, 0, 0, 3]),
+    ("zipf_1.1", 48, 48_000, [1743, 0, 0, 532], [537, 0, 0, 5]),
+    ("uniform", 32, 48_000, [1743, 0, 0, 1655], [1662, 0, 0, 7]),
+    ("uniform", 96, 48_000, [1743, 0, 0, 1741], [1744, 0, 0, 3]),
+    ("uniform", 48, 48_000, [1743, 0, 0, 1744], [1749, 0, 0, 5]),
+    ("jcch_tuned", 32, 48_000, [1743, 0, 0, 770], [777, 0, 0, 7]),
+    ("jcch_tuned", 96, 48_000, [1743, 0, 0, 772], [775, 0, 0, 3]),
+    ("jcch_tuned", 48, 48_000, [1743, 0, 0, 771], [776, 0, 0, 5]),
+];
+
+/// DHH (default thresholds) on the same cells as [`NOCAP_PINS`].
+const DHH_PINS: [Pin; 9] = [
+    ("zipf_1.1", 32, 48_000, [1743, 0, 0, 1741], [1761, 0, 0, 20]),
+    ("zipf_1.1", 96, 48_000, [1743, 0, 0, 897], [917, 0, 0, 20]),
+    ("zipf_1.1", 48, 48_000, [1743, 0, 0, 1741], [1761, 0, 0, 20]),
+    ("uniform", 32, 48_000, [1743, 0, 0, 1742], [1762, 0, 0, 20]),
+    ("uniform", 96, 48_000, [1743, 0, 0, 1732], [1752, 0, 0, 20]),
+    ("uniform", 48, 48_000, [1743, 0, 0, 1742], [1762, 0, 0, 20]),
+    (
+        "jcch_tuned",
+        32,
+        48_000,
+        [1743, 0, 0, 1744],
+        [1764, 0, 0, 20],
+    ),
+    (
+        "jcch_tuned",
+        96,
+        48_000,
+        [1743, 0, 0, 1403],
+        [1423, 0, 0, 20],
+    ),
+    (
+        "jcch_tuned",
+        48,
+        48_000,
+        [1743, 0, 0, 1744],
+        [1764, 0, 0, 20],
+    ),
+];
+
+/// SMJ on the workload grid.
+const SMJ_PINS: [Pin; 6] = [
+    (
+        "zipf_1.1",
+        32,
+        48_000,
+        [1743, 1745, 3486, 0],
+        [0, 1743, 0, 0],
+    ),
+    ("zipf_1.1", 96, 48_000, [1743, 0, 1743, 0], [0, 1743, 0, 0]),
+    (
+        "uniform",
+        32,
+        48_000,
+        [1743, 1745, 3486, 0],
+        [0, 1743, 0, 0],
+    ),
+    ("uniform", 96, 48_000, [1743, 0, 1743, 0], [0, 1743, 0, 0]),
+    (
+        "jcch_tuned",
+        32,
+        48_000,
+        [1743, 1745, 3486, 0],
+        [0, 1743, 0, 0],
+    ),
+    (
+        "jcch_tuned",
+        96,
+        48_000,
+        [1743, 0, 1743, 0],
+        [0, 1743, 0, 0],
+    ),
+];
+
+/// GHJ on the bloom cells.
+const GHJ_PINS: [Pin; 3] = [
+    ("zipf_1.1", 48, 48_000, [1743, 0, 0, 1785], [1785, 0, 0, 0]),
+    ("uniform", 48, 48_000, [1743, 0, 0, 1790], [1790, 0, 0, 0]),
+    (
+        "jcch_tuned",
+        48,
+        48_000,
+        [1743, 0, 0, 1788],
+        [1788, 0, 0, 0],
+    ),
+];
+
+/// The NOCAP sketch-plan-execute pipeline (4 stats pages per shard).
+const NOCAP_PIPELINE_PINS: [Pin; 3] = [
+    ("zipf_1.1", 64, 48_000, [1743, 0, 0, 674], [678, 0, 0, 4]),
+    ("uniform", 64, 48_000, [1743, 0, 0, 1741], [1745, 0, 0, 4]),
+    ("jcch_tuned", 64, 48_000, [1743, 0, 0, 904], [908, 0, 0, 4]),
+];
+
+/// Sketch-driven DHH (4 stats pages per shard).
+const DHH_SKETCH_PIPELINE_PIN: Pin = ("zipf_1.1", 48, 48_000, [1743, 0, 0, 1741], [1761, 0, 0, 20]);
+
+/// The pinned report of the `(workload, budget)` cell in `pins`.
+fn pinned(pins: &[Pin], workload: &str, budget: usize) -> JoinRunReport {
+    let &(_, _, output, partition_io, probe_io) = pins
+        .iter()
+        .find(|pin| pin.0 == workload && pin.1 == budget)
+        .unwrap_or_else(|| panic!("no pinned cell for {workload}/B={budget}"));
+    pinned_report(output, partition_io, probe_io)
+}
+
 #[test]
 fn nocap_run_parallel_matches_run_across_workloads_threads_and_budgets() {
     for (name, workload) in &workload_grid() {
         for budget in [32usize, 96] {
             let spec = JoinSpec::paper_synthetic(128, budget);
             let join = NocapJoin::new(spec, NocapConfig::default());
-            let check = |report: &JoinRunReport, wl: &GeneratedWorkload| {
-                assert_eq!(
-                    report.output_records,
-                    wl.expected_join_output(),
-                    "{name}: join output must match the correlation table"
-                );
-            };
             assert_parallel_equivalence(
                 &format!("nocap/{name}/B={budget}"),
                 &[1, 2, 4, 8],
-                || {
-                    let wl = generate(workload);
-                    let report = join.run(&wl.r, &wl.s, &wl.mcvs).expect("sequential run");
-                    check(&report, &wl);
-                    report
-                },
+                &pinned(&NOCAP_PINS, name, budget),
                 |threads| {
                     let wl = generate(workload);
-                    join.run_parallel(&wl.r, &wl.s, &wl.mcvs, threads)
-                        .expect("parallel run")
+                    let report = join
+                        .run_parallel_obs(&wl.r, &wl.s, &wl.mcvs, threads, &Obs::off())
+                        .expect("NOCAP run");
+                    assert_eq!(
+                        report.output_records,
+                        wl.expected_join_output(),
+                        "{name}: join output must match the correlation table"
+                    );
+                    report
                 },
             );
         }
@@ -129,20 +242,18 @@ fn dhh_run_parallel_matches_run_across_workloads_threads_and_budgets() {
             assert_parallel_equivalence(
                 &format!("dhh/{name}/B={budget}"),
                 &[1, 2, 4, 8],
-                || {
+                &pinned(&DHH_PINS, name, budget),
+                |threads| {
                     let wl = generate(workload);
-                    let report = dhh.run(&wl.r, &wl.s, &wl.mcvs).expect("sequential run");
+                    let report = dhh
+                        .run_parallel_obs(&wl.r, &wl.s, &wl.mcvs, threads, &Obs::off())
+                        .expect("DHH run");
                     assert_eq!(
                         report.output_records,
                         wl.expected_join_output(),
                         "{name}: DHH output must match the correlation table"
                     );
                     report
-                },
-                |threads| {
-                    let wl = generate(workload);
-                    dhh.run_parallel(&wl.r, &wl.s, &wl.mcvs, threads)
-                        .expect("parallel run")
                 },
             );
         }
@@ -162,20 +273,18 @@ fn smj_run_parallel_matches_run_across_workloads_threads_and_budgets() {
             assert_parallel_equivalence(
                 &format!("smj/{name}/B={budget}"),
                 &[1, 2, 4, 8],
-                || {
+                &pinned(&SMJ_PINS, name, budget),
+                |threads| {
                     let wl = generate(workload);
-                    let report = smj.run(&wl.r, &wl.s).expect("sequential run");
+                    let report = smj
+                        .run_parallel_obs(&wl.r, &wl.s, threads, &Obs::off())
+                        .expect("SMJ run");
                     assert_eq!(
                         report.output_records,
                         wl.expected_join_output(),
                         "{name}: SMJ output must match the correlation table"
                     );
                     report
-                },
-                |threads| {
-                    let wl = generate(workload);
-                    smj.run_parallel(&wl.r, &wl.s, threads)
-                        .expect("parallel run")
                 },
             );
         }
@@ -188,145 +297,132 @@ fn probe_bloom_filter_changes_neither_output_nor_modeled_io() {
     // miss takes exactly the `probe_count == 0` route, the reservation is
     // clamped after the partition geometry is fixed, and the bits depend
     // only on the build-side key multiset. So for every executor, workload
-    // and thread count, bloom-on and bloom-off runs must be bit-identical
-    // in output and per-phase modeled I/O.
+    // and thread count, bloom-on and bloom-off runs must reproduce the same
+    // pinned output and per-phase modeled I/O.
     for (name, workload) in &workload_grid() {
         let spec = JoinSpec::paper_synthetic(128, 48);
-        let assert_same = |label: &str, on: &JoinRunReport, off: &JoinRunReport| {
-            assert_eq!(
-                on.output_records, off.output_records,
-                "{label}: the bloom filter changed the join output"
-            );
-            assert_eq!(
-                on.partition_io, off.partition_io,
-                "{label}: the bloom filter changed the partition-phase I/O"
-            );
-            assert_eq!(
-                on.probe_io, off.probe_io,
-                "{label}: the bloom filter changed the probe-phase I/O"
-            );
-        };
 
         // NOCAP: knob on NocapConfig (default on).
-        let on = NocapJoin::new(spec, NocapConfig::default());
-        let off = NocapJoin::new(
-            spec,
-            NocapConfig {
-                bloom: ProbeBloom::off(),
+        let expected = pinned(&NOCAP_PINS, name, 48);
+        for (bloom, threads) in [("on", &[1usize, 2, 4][..]), ("off", &[1, 4])] {
+            let config = NocapConfig {
+                bloom: if bloom == "on" {
+                    ProbeBloom::default()
+                } else {
+                    ProbeBloom::off()
+                },
                 ..NocapConfig::default()
-            },
-        );
-        let wl = generate(workload);
-        let off_seq = off.run(&wl.r, &wl.s, &wl.mcvs).expect("bloom-off run");
-        let wl = generate(workload);
-        let on_seq = on.run(&wl.r, &wl.s, &wl.mcvs).expect("bloom-on run");
-        assert_same(&format!("nocap/{name}/seq"), &on_seq, &off_seq);
-        for threads in [2usize, 4] {
-            let wl = generate(workload);
-            let on_par = on
-                .run_parallel(&wl.r, &wl.s, &wl.mcvs, threads)
-                .expect("bloom-on parallel run");
-            assert_same(&format!("nocap/{name}/n={threads}"), &on_par, &off_seq);
+            };
+            let join = NocapJoin::new(spec, config);
+            assert_parallel_equivalence(
+                &format!("nocap/{name}/bloom-{bloom}"),
+                threads,
+                &expected,
+                |threads| {
+                    let wl = generate(workload);
+                    join.run_parallel_obs(&wl.r, &wl.s, &wl.mcvs, threads, &Obs::off())
+                        .expect("NOCAP run")
+                },
+            );
         }
 
         // DHH: builder knob (default on).
-        let dhh_on = DhhJoin::with_defaults(spec);
-        let dhh_off = DhhJoin::with_defaults(spec).with_bloom(ProbeBloom::off());
-        let wl = generate(workload);
-        let off_seq = dhh_off.run(&wl.r, &wl.s, &wl.mcvs).expect("bloom-off run");
-        let wl = generate(workload);
-        let on_seq = dhh_on.run(&wl.r, &wl.s, &wl.mcvs).expect("bloom-on run");
-        assert_same(&format!("dhh/{name}/seq"), &on_seq, &off_seq);
-        let wl = generate(workload);
-        let on_par = dhh_on
-            .run_parallel(&wl.r, &wl.s, &wl.mcvs, 4)
-            .expect("bloom-on parallel run");
-        assert_same(&format!("dhh/{name}/n=4"), &on_par, &off_seq);
+        let expected = pinned(&DHH_PINS, name, 48);
+        for (bloom, threads) in [("on", &[1usize, 4][..]), ("off", &[1])] {
+            let dhh = DhhJoin::with_defaults(spec).with_bloom(if bloom == "on" {
+                ProbeBloom::default()
+            } else {
+                ProbeBloom::off()
+            });
+            assert_parallel_equivalence(
+                &format!("dhh/{name}/bloom-{bloom}"),
+                threads,
+                &expected,
+                |threads| {
+                    let wl = generate(workload);
+                    dhh.run_parallel_obs(&wl.r, &wl.s, &wl.mcvs, threads, &Obs::off())
+                        .expect("DHH run")
+                },
+            );
+        }
 
         // GHJ: per-chunk filters inside the partition-pair NBJs.
-        let ghj_on = GraceHashJoin::new(spec);
-        let ghj_off = GraceHashJoin::new(spec).with_bloom(ProbeBloom::off());
-        let wl = generate(workload);
-        let off_seq = ghj_off.run(&wl.r, &wl.s).expect("bloom-off run");
-        let wl = generate(workload);
-        let on_seq = ghj_on.run(&wl.r, &wl.s).expect("bloom-on run");
-        assert_same(&format!("ghj/{name}/seq"), &on_seq, &off_seq);
-        let wl = generate(workload);
-        let on_par = ghj_on
-            .run_parallel(&wl.r, &wl.s, 4)
-            .expect("bloom-on parallel run");
-        assert_same(&format!("ghj/{name}/n=4"), &on_par, &off_seq);
+        let expected = pinned(&GHJ_PINS, name, 48);
+        for (bloom, threads) in [("on", &[1usize, 4][..]), ("off", &[1])] {
+            let ghj = GraceHashJoin::new(spec).with_bloom(if bloom == "on" {
+                ProbeBloom::default()
+            } else {
+                ProbeBloom::off()
+            });
+            assert_parallel_equivalence(
+                &format!("ghj/{name}/bloom-{bloom}"),
+                threads,
+                &expected,
+                |threads| {
+                    let wl = generate(workload);
+                    ghj.run_parallel_obs(&wl.r, &wl.s, threads, &Obs::off())
+                        .expect("GHJ run")
+                },
+            );
+        }
     }
 }
 
 #[test]
 fn run_parallel_honors_the_nocap_threads_default() {
     // threads = 0 routes through default_threads() (NOCAP_THREADS or the
-    // machine's parallelism); the result must still be byte-identical.
+    // machine's parallelism); the result must still match the pins.
     let workload = Workload::Synthetic(Correlation::Zipf { alpha: 1.1 });
     let spec = JoinSpec::paper_synthetic(128, 48);
     let join = NocapJoin::new(spec, NocapConfig::default());
     let dhh = DhhJoin::with_defaults(spec);
-    for (label, sequential, defaulted) in [
-        (
-            "nocap",
-            {
-                let wl = generate(&workload);
-                join.run(&wl.r, &wl.s, &wl.mcvs).expect("run")
-            },
-            {
-                let wl = generate(&workload);
-                join.run_parallel(&wl.r, &wl.s, &wl.mcvs, 0).expect("par")
-            },
-        ),
-        (
-            "dhh",
-            {
-                let wl = generate(&workload);
-                dhh.run(&wl.r, &wl.s, &wl.mcvs).expect("run")
-            },
-            {
-                let wl = generate(&workload);
-                dhh.run_parallel(&wl.r, &wl.s, &wl.mcvs, 0).expect("par")
-            },
-        ),
-    ] {
-        assert_eq!(
-            defaulted.output_records, sequential.output_records,
-            "{label}"
-        );
-        assert_eq!(defaulted.partition_io, sequential.partition_io, "{label}");
-        assert_eq!(defaulted.probe_io, sequential.probe_io, "{label}");
-    }
+    assert_parallel_equivalence(
+        "nocap/default-threads",
+        &[0],
+        &pinned(&NOCAP_PINS, "zipf_1.1", 48),
+        |threads| {
+            let wl = generate(&workload);
+            join.run_parallel_obs(&wl.r, &wl.s, &wl.mcvs, threads, &Obs::off())
+                .expect("NOCAP run")
+        },
+    );
+    assert_parallel_equivalence(
+        "dhh/default-threads",
+        &[0],
+        &pinned(&DHH_PINS, "zipf_1.1", 48),
+        |threads| {
+            let wl = generate(&workload);
+            dhh.run_parallel_obs(&wl.r, &wl.s, &wl.mcvs, threads, &Obs::off())
+                .expect("DHH run")
+        },
+    );
 }
 
 #[test]
 fn sketch_plan_execute_pipeline_is_thread_count_invariant() {
     // The whole deployable pipeline — sharded statistics collection,
-    // planning from the summary, parallel execution — must be identical at
-    // every thread count, *including* on workloads where the SpaceSaving
-    // sketch overflows (the fixed shard grid and canonical fold make the
-    // summary n-invariant regardless).
+    // planning from the summary, execution — must be identical at every
+    // thread count, *including* on workloads where the SpaceSaving sketch
+    // overflows (the fixed shard grid and canonical fold make the summary
+    // n-invariant regardless).
     for (name, workload) in &workload_grid() {
         let spec = JoinSpec::paper_synthetic(128, 64);
         let join = NocapJoin::new(spec, NocapConfig::default());
         assert_parallel_equivalence(
             &format!("pipeline/{name}"),
             &[1, 2, 4, 8],
-            || {
+            &pinned(&NOCAP_PIPELINE_PINS, name, 64),
+            |threads| {
                 let wl = generate(workload);
-                let report = join.collect_and_run(&wl.r, &wl.s, 4).expect("pipeline");
+                let report = join
+                    .collect_and_run_parallel_obs(&wl.r, &wl.s, 4, threads, &Obs::off())
+                    .expect("pipeline");
                 assert_eq!(
                     report.output_records,
                     wl.expected_join_output(),
                     "{name}: sketch-planned output must match"
                 );
                 report
-            },
-            |threads| {
-                let wl = generate(workload);
-                join.collect_and_run_parallel(&wl.r, &wl.s, 4, threads)
-                    .expect("parallel pipeline")
             },
         );
     }
@@ -335,37 +431,44 @@ fn sketch_plan_execute_pipeline_is_thread_count_invariant() {
 #[test]
 fn dhh_sketch_pipeline_is_thread_count_invariant() {
     // Sketch-driven DHH: collect_parallel's summary feeds
-    // run_parallel_with_collected_stats; every thread count must reproduce
-    // the sequential sketch-driven run exactly.
+    // run_parallel_with_collected_stats_obs; every thread count must
+    // reproduce the pinned sketch-driven run exactly.
     let workload = Workload::Synthetic(Correlation::Zipf { alpha: 1.1 });
     let spec = JoinSpec::paper_synthetic(128, 48);
     let dhh = DhhJoin::with_defaults(spec);
-    let summarize = |wl: &GeneratedWorkload, threads: usize| {
-        StatsCollector::collect_parallel(
-            StatsConfig::for_budget_pages(4, spec.page_size),
-            &wl.s,
-            threads,
-        )
-        .expect("collection")
-    };
+    let (_, _, output, partition_io, probe_io) = DHH_SKETCH_PIPELINE_PIN;
     assert_parallel_equivalence(
         "dhh/sketch-pipeline",
         &[1, 2, 4, 8],
-        || {
-            let wl = generate(&workload);
-            let summary = summarize(&wl, 1);
-            wl.r.device().reset_stats();
-            dhh.run_with_collected_stats(&wl.r, &wl.s, &summary)
-                .expect("sequential sketch run")
-        },
+        &pinned_report(output, partition_io, probe_io),
         |threads| {
             let wl = generate(&workload);
-            let summary = summarize(&wl, threads);
+            let summary = StatsCollector::collect_parallel(
+                StatsConfig::for_budget_pages(4, spec.page_size),
+                &wl.s,
+                threads,
+            )
+            .expect("collection");
             wl.r.device().reset_stats();
-            dhh.run_parallel_with_collected_stats(&wl.r, &wl.s, &summary, threads)
-                .expect("parallel sketch run")
+            dhh.run_parallel_with_collected_stats_obs(&wl.r, &wl.s, &summary, threads, &Obs::off())
+                .expect("sketch run")
         },
     );
+}
+
+#[test]
+fn identical_runs_compare_equal() {
+    // `JoinRunReport` equality covers the deterministic payload only, so two
+    // runs of the same join on the same data are `==` although their wall
+    // times differ.
+    let workload = Workload::Synthetic(Correlation::Zipf { alpha: 1.1 });
+    let join = NocapJoin::new(JoinSpec::paper_synthetic(128, 48), NocapConfig::default());
+    let run = || {
+        let wl = generate(&workload);
+        join.run_parallel_obs(&wl.r, &wl.s, &wl.mcvs, 2, &Obs::off())
+            .expect("NOCAP run")
+    };
+    assert_eq!(run(), run());
 }
 
 #[test]
@@ -391,11 +494,11 @@ fn collect_parallel_summaries_are_bit_identical_on_generated_workloads() {
     }
 }
 
-/// Shared body of the recorder differential checks: a recorder-off
-/// sequential baseline against recorder-on parallel runs at 1/2/4/8
-/// workers. Recording must not change the join output or the per-phase
-/// modeled I/O, and every recorded trace must carry the expected
-/// main-thread phases, the listed histograms and one timeline per worker.
+/// Shared body of the recorder differential checks: a recorder-off run and
+/// recorder-on runs at 1/2/4/8 workers against the pinned numbers.
+/// Recording must not change the join output or the per-phase modeled I/O,
+/// and every recorded trace must carry the expected main-thread phases, the
+/// listed histograms and one timeline per worker.
 fn assert_recording_is_invisible(
     label: &str,
     baseline: &JoinRunReport,
@@ -404,10 +507,14 @@ fn assert_recording_is_invisible(
     workers_exact: bool,
     run: impl Fn(usize, &Obs) -> JoinRunReport,
 ) {
+    let blind = run(1, &Obs::off());
     assert!(
-        baseline.trace.is_none(),
+        blind.trace.is_none(),
         "{label}: Obs::off() must not attach a trace"
     );
+    assert_eq!(blind.output_records, baseline.output_records, "{label}");
+    assert_eq!(blind.partition_io, baseline.partition_io, "{label}");
+    assert_eq!(blind.probe_io, baseline.probe_io, "{label}");
     for threads in [1usize, 2, 4, 8] {
         let obs = Obs::recording();
         let traced = run(threads, &obs);
@@ -465,11 +572,9 @@ fn nocap_trace_recording_changes_nothing_and_captures_the_execution_shape() {
     let workload = Workload::Synthetic(Correlation::Zipf { alpha: 1.1 });
     let spec = JoinSpec::paper_synthetic(128, 48);
     let join = NocapJoin::new(spec, NocapConfig::default());
-    let wl = generate(&workload);
-    let baseline = join.run(&wl.r, &wl.s, &wl.mcvs).expect("recorder-off run");
     assert_recording_is_invisible(
         "nocap",
-        &baseline,
+        &pinned(&NOCAP_PINS, "zipf_1.1", 48),
         &[Phase::Partition, Phase::Probe, Phase::Total],
         &["partition_records", "partition_pages"],
         true,
@@ -486,11 +591,9 @@ fn dhh_trace_recording_changes_nothing_and_captures_the_execution_shape() {
     let workload = Workload::Synthetic(Correlation::Zipf { alpha: 1.1 });
     let spec = JoinSpec::paper_synthetic(128, 48);
     let dhh = DhhJoin::with_defaults(spec);
-    let wl = generate(&workload);
-    let baseline = dhh.run(&wl.r, &wl.s, &wl.mcvs).expect("recorder-off run");
     assert_recording_is_invisible(
         "dhh",
-        &baseline,
+        &pinned(&DHH_PINS, "zipf_1.1", 48),
         &[Phase::Partition, Phase::Probe, Phase::Total],
         &["partition_records", "partition_pages"],
         true,
@@ -507,11 +610,9 @@ fn smj_trace_recording_changes_nothing_and_captures_the_execution_shape() {
     let workload = Workload::Synthetic(Correlation::Zipf { alpha: 1.1 });
     let spec = JoinSpec::paper_synthetic(128, 32);
     let smj = SortMergeJoin::new(spec);
-    let wl = generate(&workload);
-    let baseline = smj.run(&wl.r, &wl.s).expect("recorder-off run");
     assert_recording_is_invisible(
         "smj",
-        &baseline,
+        &pinned(&SMJ_PINS, "zipf_1.1", 32),
         &[Phase::SortRunGen, Phase::Merge, Phase::Total],
         &["run_pages", "final_run_pages"],
         false,
@@ -525,7 +626,7 @@ fn smj_trace_recording_changes_nothing_and_captures_the_execution_shape() {
 
 /// Shared body of the traced-device differential checks: the same join on a
 /// `TracedDevice(SimDevice)` with I/O recording on must reproduce the
-/// bare-device recorder-off baseline bit for bit at every thread count, and
+/// pinned bare-device numbers bit for bit at every thread count, and
 /// the captured event stream must audit *exactly* against the engine's own
 /// per-phase counter snapshots — zero model-audit mismatches, no events
 /// outside the marker windows, and the two non-empty windows folding to
@@ -615,8 +716,7 @@ fn nocap_traced_device_runs_are_identical_and_audit_exactly() {
     let workload = Workload::Synthetic(Correlation::Zipf { alpha: 1.1 });
     let spec = JoinSpec::paper_synthetic(128, 48);
     let join = NocapJoin::new(spec, NocapConfig::default());
-    let wl = generate(&workload);
-    let baseline = join.run(&wl.r, &wl.s, &wl.mcvs).expect("recorder-off run");
+    let baseline = pinned(&NOCAP_PINS, "zipf_1.1", 48);
     assert_traced_run_audits_exactly("nocap", &workload, &baseline, |wl, threads, obs| {
         join.run_parallel_obs(&wl.r, &wl.s, &wl.mcvs, threads, obs)
             .expect("traced run")
@@ -628,8 +728,7 @@ fn dhh_traced_device_runs_are_identical_and_audit_exactly() {
     let workload = Workload::Synthetic(Correlation::Zipf { alpha: 1.1 });
     let spec = JoinSpec::paper_synthetic(128, 48);
     let dhh = DhhJoin::with_defaults(spec);
-    let wl = generate(&workload);
-    let baseline = dhh.run(&wl.r, &wl.s, &wl.mcvs).expect("recorder-off run");
+    let baseline = pinned(&DHH_PINS, "zipf_1.1", 48);
     assert_traced_run_audits_exactly("dhh", &workload, &baseline, |wl, threads, obs| {
         dhh.run_parallel_obs(&wl.r, &wl.s, &wl.mcvs, threads, obs)
             .expect("traced run")
@@ -641,8 +740,7 @@ fn smj_traced_device_runs_are_identical_and_audit_exactly() {
     let workload = Workload::Synthetic(Correlation::Zipf { alpha: 1.1 });
     let spec = JoinSpec::paper_synthetic(128, 32);
     let smj = SortMergeJoin::new(spec);
-    let wl = generate(&workload);
-    let baseline = smj.run(&wl.r, &wl.s).expect("recorder-off run");
+    let baseline = pinned(&SMJ_PINS, "zipf_1.1", 32);
     assert_traced_run_audits_exactly("smj", &workload, &baseline, |wl, threads, obs| {
         smj.run_parallel_obs(&wl.r, &wl.s, threads, obs)
             .expect("traced run")
@@ -659,8 +757,14 @@ fn disarmed_fault_and_checksum_layers_are_invisible_to_the_determinism_pins() {
     let workload = Workload::Synthetic(Correlation::Zipf { alpha: 1.1 });
     let spec = JoinSpec::paper_synthetic(128, 48);
     let join = NocapJoin::new(spec, NocapConfig::default());
+    let baseline = pinned(&NOCAP_PINS, "zipf_1.1", 48);
     let wl = generate(&workload);
-    let baseline = join.run(&wl.r, &wl.s, &wl.mcvs).expect("bare-device run");
+    let bare = join
+        .run_parallel_obs(&wl.r, &wl.s, &wl.mcvs, 1, &Obs::off())
+        .expect("bare-device run");
+    assert_eq!(bare.output_records, baseline.output_records);
+    assert_eq!(bare.partition_io, baseline.partition_io);
+    assert_eq!(bare.probe_io, baseline.probe_io);
     let base_stats = wl.r.device().stats();
     for threads in [1usize, 2, 4, 8] {
         let sim = std::sync::Arc::new(SimDevice::new());
@@ -668,7 +772,7 @@ fn disarmed_fault_and_checksum_layers_are_invisible_to_the_determinism_pins() {
         let checked = CheckedDevice::new_arc(fault.clone() as DeviceRef, RetryPolicy::default());
         let wl = generate_on(checked.clone() as DeviceRef, &workload);
         let report = join
-            .run_parallel(&wl.r, &wl.s, &wl.mcvs, threads)
+            .run_parallel_obs(&wl.r, &wl.s, &wl.mcvs, threads, &Obs::off())
             .expect("run through the disarmed stack");
         assert_eq!(report.output_records, baseline.output_records);
         assert_eq!(report.partition_io, baseline.partition_io);

@@ -5,6 +5,7 @@
 
 use nocap_suite::model::JoinSpec;
 use nocap_suite::nocap::{NocapConfig, NocapJoin};
+use nocap_suite::obs::Obs;
 use nocap_suite::par::page_shards;
 use nocap_suite::stats::{StatsCollector, StatsConfig};
 use nocap_suite::storage::{BufferPool, SimDevice};
@@ -50,11 +51,13 @@ fn sketch_planned_join_is_correct() {
     device.reset_stats();
     let join = NocapJoin::new(spec, NocapConfig::default());
     let sketch_run = join
-        .run_with_collected_stats(&wl.r, &wl.s, &summary)
+        .run_parallel_with_collected_stats_obs(&wl.r, &wl.s, &summary, 1, &Obs::off())
         .unwrap();
 
     device.reset_stats();
-    let oracle_run = join.run(&wl.r, &wl.s, &wl.mcvs).unwrap();
+    let oracle_run = join
+        .run_parallel_obs(&wl.r, &wl.s, &wl.mcvs, 1, &Obs::off())
+        .unwrap();
     assert_eq!(
         sketch_run.output_records, oracle_run.output_records,
         "sketch-planned NOCAP must produce the same join output"
@@ -78,11 +81,14 @@ fn sketch_planned_io_is_within_bounded_factor_of_oracle_on_zipf() {
 
     device.reset_stats();
     let sketch_ios = join
-        .run_with_collected_stats(&wl.r, &wl.s, &summary)
+        .run_parallel_with_collected_stats_obs(&wl.r, &wl.s, &summary, 1, &Obs::off())
         .unwrap()
         .total_ios();
     device.reset_stats();
-    let oracle_ios = join.run(&wl.r, &wl.s, &wl.mcvs).unwrap().total_ios();
+    let oracle_ios = join
+        .run_parallel_obs(&wl.r, &wl.s, &wl.mcvs, 1, &Obs::off())
+        .unwrap()
+        .total_ios();
 
     assert!(
         (sketch_ios as f64) <= 1.5 * oracle_ios as f64,
@@ -106,7 +112,7 @@ fn more_sketch_budget_never_hurts_much() {
         let summary = collect(&wl, &spec, budget);
         device.reset_stats();
         let ios = join
-            .run_with_collected_stats(&wl.r, &wl.s, &summary)
+            .run_parallel_with_collected_stats_obs(&wl.r, &wl.s, &summary, 1, &Obs::off())
             .unwrap()
             .total_ios();
         assert!(
@@ -125,12 +131,16 @@ fn collect_and_run_is_self_contained_and_accounts_the_stats_scan() {
     let join = NocapJoin::new(spec, NocapConfig::default());
 
     device.reset_stats();
-    let report = join.collect_and_run(&wl.r, &wl.s, 4).unwrap();
+    let report = join
+        .collect_and_run_parallel_obs(&wl.r, &wl.s, 4, 1, &Obs::off())
+        .unwrap();
     let total_device_ios = device.stats().reads() + device.stats().writes();
 
     // Output correct...
     device.reset_stats();
-    let oracle = join.run(&wl.r, &wl.s, &wl.mcvs).unwrap();
+    let oracle = join
+        .run_parallel_obs(&wl.r, &wl.s, &wl.mcvs, 1, &Obs::off())
+        .unwrap();
     assert_eq!(report.output_records, oracle.output_records);
     // ...and the one-pass statistics scan of S is visible in the I/O trace:
     // at least ||S|| reads beyond what the join itself reports.
@@ -173,10 +183,12 @@ fn sketch_planning_stays_within_the_pr1_bound_across_a_seeded_grid_under_collect
             let join = NocapJoin::new(spec, NocapConfig::default());
             device.reset_stats();
             let sketch = join
-                .run_with_collected_stats(&wl.r, &wl.s, &summary)
+                .run_parallel_with_collected_stats_obs(&wl.r, &wl.s, &summary, 1, &Obs::off())
                 .expect("sketch-planned run");
             device.reset_stats();
-            let oracle = join.run(&wl.r, &wl.s, &wl.mcvs).expect("oracle run");
+            let oracle = join
+                .run_parallel_obs(&wl.r, &wl.s, &wl.mcvs, 1, &Obs::off())
+                .expect("oracle run");
             assert_eq!(
                 sketch.output_records, oracle.output_records,
                 "alpha={alpha}, B={buffer_pages}: output must match"
@@ -196,7 +208,8 @@ fn sketch_planning_stays_within_the_pr1_bound_across_a_seeded_grid_under_collect
 #[test]
 fn parallel_and_sequential_collection_plan_identically() {
     // collect_parallel at any thread count and the (sharded, 1-thread)
-    // collection inside collect_and_run produce the same summary, so the
+    // collection inside collect_and_run_parallel_obs produce the same
+    // summary, so the
     // downstream plan and modeled I/O must be identical too.
     let wl = workload(Correlation::Zipf { alpha: 1.0 }, 4_000, 32_000, 9);
     let spec = JoinSpec::paper_synthetic(128, 48);
@@ -209,7 +222,7 @@ fn parallel_and_sequential_collection_plan_identically() {
                 .expect("collection");
         drop(pool);
         device.reset_stats();
-        join.run_with_collected_stats(&wl.r, &wl.s, &summary)
+        join.run_parallel_with_collected_stats_obs(&wl.r, &wl.s, &summary, 1, &Obs::off())
             .expect("sketch run")
     };
     let baseline = run_with_threads(1);
@@ -284,10 +297,12 @@ fn uniform_workloads_need_no_mcvs_to_plan_well() {
     let join = NocapJoin::new(spec, NocapConfig::default());
     device.reset_stats();
     let sketch_run = join
-        .run_with_collected_stats(&wl.r, &wl.s, &summary)
+        .run_parallel_with_collected_stats_obs(&wl.r, &wl.s, &summary, 1, &Obs::off())
         .unwrap();
     device.reset_stats();
-    let oracle_run = join.run(&wl.r, &wl.s, &wl.mcvs).unwrap();
+    let oracle_run = join
+        .run_parallel_obs(&wl.r, &wl.s, &wl.mcvs, 1, &Obs::off())
+        .unwrap();
     assert_eq!(sketch_run.output_records, oracle_run.output_records);
     assert!(
         (sketch_run.total_ios() as f64) <= 1.5 * oracle_run.total_ios() as f64,

@@ -6,6 +6,7 @@
 use nocap_suite::joins::{naive_join_count, DhhConfig, DhhJoin};
 use nocap_suite::model::JoinSpec;
 use nocap_suite::nocap::{NocapConfig, NocapJoin};
+use nocap_suite::obs::Obs;
 use nocap_suite::storage::SimDevice;
 use nocap_suite::workload::jcch::{self, JcchConfig, JcchSkew};
 use nocap_suite::workload::job::{self, JobConfig, JobJoin};
@@ -30,11 +31,11 @@ fn tpch_like_workload_joins_correctly_and_nocap_wins() {
 
     device.reset_stats();
     let nocap = NocapJoin::new(spec, NocapConfig::default())
-        .run(&wl.r, &wl.s, &wl.mcvs)
+        .run_parallel_obs(&wl.r, &wl.s, &wl.mcvs, 1, &Obs::off())
         .unwrap();
     device.reset_stats();
     let dhh = DhhJoin::new(spec, DhhConfig::default())
-        .run(&wl.r, &wl.s, &wl.mcvs)
+        .run_parallel_obs(&wl.r, &wl.s, &wl.mcvs, 1, &Obs::off())
         .unwrap();
 
     assert_eq!(nocap.output_records, expected);
@@ -64,7 +65,7 @@ fn jcch_like_workloads_join_correctly_under_both_skew_profiles() {
         let spec = JoinSpec::paper_synthetic(128, 32);
         device.reset_stats();
         let nocap = NocapJoin::new(spec, NocapConfig::default())
-            .run(&wl.r, &wl.s, &wl.mcvs)
+            .run_parallel_obs(&wl.r, &wl.s, &wl.mcvs, 1, &Obs::off())
             .unwrap();
         assert_eq!(nocap.output_records, expected, "skew profile {skew:?}");
     }
@@ -87,11 +88,11 @@ fn job_like_workloads_join_correctly_for_both_joins() {
         let spec = JoinSpec::paper_synthetic(128, 48);
         device.reset_stats();
         let nocap = NocapJoin::new(spec, NocapConfig::default())
-            .run(&wl.r, &wl.s, &wl.mcvs)
+            .run_parallel_obs(&wl.r, &wl.s, &wl.mcvs, 1, &Obs::off())
             .unwrap();
         device.reset_stats();
         let dhh = DhhJoin::new(spec, DhhConfig::default())
-            .run(&wl.r, &wl.s, &wl.mcvs)
+            .run_parallel_obs(&wl.r, &wl.s, &wl.mcvs, 1, &Obs::off())
             .unwrap();
         assert_eq!(nocap.output_records, expected, "{join:?}");
         assert_eq!(dhh.output_records, expected, "{join:?}");
@@ -118,12 +119,12 @@ fn extreme_skew_lets_dhh_get_close_to_nocap_but_medium_skew_does_not() {
         let wl = jcch::generate(device.clone(), &config).unwrap();
         device.reset_stats();
         let nocap = NocapJoin::new(spec, NocapConfig::default())
-            .run(&wl.r, &wl.s, &wl.mcvs)
+            .run_parallel_obs(&wl.r, &wl.s, &wl.mcvs, 1, &Obs::off())
             .unwrap()
             .total_ios() as f64;
         device.reset_stats();
         let dhh = DhhJoin::new(spec, DhhConfig::default())
-            .run(&wl.r, &wl.s, &wl.mcvs)
+            .run_parallel_obs(&wl.r, &wl.s, &wl.mcvs, 1, &Obs::off())
             .unwrap()
             .total_ios() as f64;
         gaps.push(dhh / nocap);

@@ -20,8 +20,8 @@
 //! the exact output and per-phase I/O of the pre-rewrite SMJ.
 //!
 //! Coverage: skewed (Zipf 1.1), uniform and JCC-H (tuned skew) workloads,
-//! each checked against the sequential `run` and `run_parallel` at 1, 2 and
-//! 4 threads.
+//! each checked against the executor at 1, 2 and 4 threads (one thread is
+//! the sequential run).
 
 use std::collections::HashMap;
 
@@ -30,6 +30,7 @@ use nocap_suite::joins::SortMergeJoin;
 use nocap_suite::model::pairwise::smart_partition_join;
 use nocap_suite::model::JoinSpec;
 use nocap_suite::nocap::{plan_nocap, NocapConfig, NocapJoin, RestGeometry};
+use nocap_suite::obs::Obs;
 use nocap_suite::storage::{
     BufferPool, IoKind, IoStats, PartitionHandle, PartitionWriter, Record, Relation,
 };
@@ -37,9 +38,9 @@ use nocap_suite::workload::jcch::{self, JcchConfig, JcchSkew};
 use nocap_suite::workload::{synthetic, Correlation, GeneratedWorkload, SyntheticConfig};
 
 /// The pre-refactor NOCAP executor: owned records everywhere, map-of-vecs
-/// build side, `Vec<Record>` staging. Mirrors `NocapJoin::run_with_plan`
-/// line for line, including every buffer-pool reservation, so the residual
-/// budget and the quota geometry are identical.
+/// build side, `Vec<Record>` staging, one thread. Mirrors the sequential
+/// NOCAP executor line for line, including every buffer-pool reservation,
+/// so the residual budget and the quota geometry are identical.
 fn legacy_nocap_run(
     spec: &JoinSpec,
     config: &NocapConfig,
@@ -207,7 +208,7 @@ fn legacy_nocap_run(
 /// The pre-rewrite SMJ executor: owned-record run generation (stable
 /// `Vec<Record>` chunk sorts), heap-based merge passes, and the fused
 /// merge-join over peekable owned-record merge iterators. Mirrors the old
-/// `SortMergeJoin::run` line for line — including the `.max(4)` budget
+/// single-threaded SMJ executor line for line — including the `.max(4)` budget
 /// fallback and the size-proportional fan-in split — so output and
 /// per-phase I/O pin the arena sorter + loser-tree rewrite exactly.
 fn legacy_smj_run(spec: &JoinSpec, r: &Relation, s: &Relation) -> (u64, IoStats, IoStats) {
@@ -300,28 +301,12 @@ fn zero_copy_executors_match_the_legacy_pipeline_exactly() {
                 "{name}/B={budget}: legacy reference must be correct"
             );
 
-            // Sequential zero-copy executor.
-            let wl = generate(workload, record_bytes);
-            let seq = join.run(&wl.r, &wl.s, &wl.mcvs).expect("run");
-            assert_eq!(
-                seq.output_records, legacy_out,
-                "{name}/B={budget}: output diverged from the legacy pipeline"
-            );
-            assert_eq!(
-                seq.partition_io, legacy_part,
-                "{name}/B={budget}: partition-phase I/O diverged"
-            );
-            assert_eq!(
-                seq.probe_io, legacy_probe,
-                "{name}/B={budget}: probe-phase I/O diverged"
-            );
-
-            // Parallel zero-copy executor at 1, 2 and 4 workers.
+            // The zero-copy executor at 1, 2 and 4 workers.
             for threads in [1usize, 2, 4] {
                 let wl = generate(workload, record_bytes);
                 let par = join
-                    .run_parallel(&wl.r, &wl.s, &wl.mcvs, threads)
-                    .expect("run_parallel");
+                    .run_parallel_obs(&wl.r, &wl.s, &wl.mcvs, threads, &Obs::off())
+                    .expect("NOCAP run");
                 assert_eq!(
                     par.output_records, legacy_out,
                     "{name}/B={budget}/n={threads}: output diverged"
@@ -364,28 +349,13 @@ fn arena_sorter_matches_the_legacy_sorter_pipeline_exactly() {
                 "{name}/B={budget}: legacy SMJ reference must be correct"
             );
 
-            // Sequential arena sorter + loser-tree merge.
-            let wl = generate(workload, record_bytes);
-            let seq = smj.run(&wl.r, &wl.s).expect("run");
-            assert_eq!(
-                seq.output_records, legacy_out,
-                "{name}/B={budget}: SMJ output diverged from the legacy sorter"
-            );
-            assert_eq!(
-                seq.partition_io, legacy_part,
-                "{name}/B={budget}: sort-phase I/O diverged from the legacy sorter"
-            );
-            assert_eq!(
-                seq.probe_io, legacy_probe,
-                "{name}/B={budget}: fused-merge I/O diverged from the legacy sorter"
-            );
-
-            // Parallel run generation at 1, 2 and 4 workers.
+            // Arena sorter + loser-tree merge, run generation at 1, 2 and 4
+            // workers.
             for threads in [1usize, 2, 4] {
                 let wl = generate(workload, record_bytes);
                 let par = smj
-                    .run_parallel(&wl.r, &wl.s, threads)
-                    .expect("run_parallel");
+                    .run_parallel_obs(&wl.r, &wl.s, threads, &Obs::off())
+                    .expect("SMJ run");
                 assert_eq!(
                     par.output_records, legacy_out,
                     "{name}/B={budget}/n={threads}: SMJ output diverged"
