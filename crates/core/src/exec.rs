@@ -17,8 +17,11 @@
 //!    the chunk-wise NBJ of [`nocap_model::pairwise`].
 //!
 //! This module holds the operator, its configuration, the residual
-//! geometry and graceful degradation; the executor body itself — one
-//! procedure for every thread count — lives in [`crate::exec_par`].
+//! geometry and graceful degradation; the entry points live in
+//! [`crate::exec_par`]. The executor body — one procedure for every thread
+//! count — is [`nocap_par::run_hybrid`], which NOCAP shares with DHH: the
+//! plan supplies steps 1–2's cached keys and designated partitions, and
+//! [`RestGeometry`] the residual quotas and router.
 //!
 //! All pages are drawn from a [`BufferPool`] capped at the spec's budget, so
 //! the §4.1 memory breakdown is enforced at run time, not just assumed.
@@ -102,7 +105,9 @@ pub struct RestGeometry {
     /// The rounded-hash router over the residual partitions.
     pub rh: RoundedHash,
     /// Per-partition staging quotas in pages; they sum to the residual
-    /// budget (see [`nocap_par::even_caps`]).
+    /// budget read before the probe-side bloom's reservation (see
+    /// [`nocap_par::even_caps`] and the memory note in
+    /// [`nocap_par::hybrid`]).
     pub caps: Vec<usize>,
 }
 

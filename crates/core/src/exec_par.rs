@@ -1,48 +1,17 @@
-//! The NOCAP executor body (Algorithms 8 and 9) and its entry points.
+//! NOCAP's entry points (Algorithms 8 and 9): plan from MCVs, from a
+//! sketch summary, or from a sharded sketch pass of its own, then execute.
 //!
-//! There is one executor for every thread count; `threads = 1` is the
-//! sequential run. The partitioning passes route each record
-//! independently, so [`NocapJoin::run_parallel_with_plan_obs`] shards both
-//! scans across a worker pool (`nocap-par`) and fans the partition-wise
-//! probe phase out over the spilled partition pairs. It is built so that
-//! **the join output and the modeled I/O trace do not depend on the thread
-//! count**:
-//!
-//! * Workers scan disjoint page ranges ([`page_shards`]), so the base scans
-//!   cost exactly `‖R‖ + ‖S‖` sequential reads.
-//! * Every spill partition keeps **one** shared output-buffer page
-//!   ([`SharedWriterSet`]), so a partition receiving `n` records flushes
-//!   exactly `⌈n / b⌉` random writes regardless of arrival order.
-//! * Residual destaging uses the deterministic per-partition quotas of
-//!   [`RestGeometry`](crate::exec::RestGeometry): a partition's page-out
-//!   bit depends only on its total record count, never on interleaving.
-//! * The probe phase joins the same partition pairs with the same
-//!   [`smart_partition_join`]; each pair's I/O is independent of the order
-//!   pairs are claimed from the work queue.
-//!
-//! During the partitioning phases memory stays inside the §4.1 budget: the
-//! pool reserves the two streaming pages and the plan's fixed structures,
-//! and the residual budget is carved into per-partition quotas whose
-//! reservations are visible in the pool. Two knowing simplifications: each
-//! worker holds one transient scan-buffer page (the model charges one
-//! logical input page for the pipeline, as the paper does), and the
-//! fanned-out probe phase runs up to `threads` partition-pair NBJs
-//! concurrently, each with the `B − 2`-page chunk the cost model prescribes
-//! — peak physical probe memory is `threads × B` pages even though the
-//! modeled I/O is unchanged. Use fewer threads when physical memory, not
-//! I/O, is the binding constraint.
+//! Every entry point ends in [`NocapJoin::run_parallel_with_plan_obs`],
+//! which hands the plan to the hybrid-hash body NOCAP shares with DHH,
+//! [`nocap_par::run_hybrid`]. There is one body for every thread count;
+//! `threads = 1` is the sequential run, and the output and per-phase
+//! modeled I/O are the same at every thread count.
 
-use std::sync::Mutex;
-
-use nocap_model::pairwise::smart_partition_join;
 use nocap_model::JoinRunReport;
-use nocap_obs::{Obs, Phase};
-use nocap_par::{page_shards, run_workers_obs, sum_tasks_obs, ParallelStager, SharedWriterSet};
+use nocap_obs::Obs;
+use nocap_par::{run_hybrid, HybridPlan};
 use nocap_stats::{StatsCollector, StatsSummary};
-use nocap_storage::{
-    into_inner_unpoisoned, lock_unpoisoned, BufferPool, IoKind, JoinHashTable, PartitionHandle,
-    RadixRouter, Relation, Reservation, SpillGuard,
-};
+use nocap_storage::{BufferPool, Relation};
 
 use crate::exec::{NocapJoin, RestGeometry};
 use crate::plan::NocapPlan;
@@ -143,11 +112,11 @@ impl NocapJoin {
     }
 
     /// Executes a pre-computed plan on `threads` worker threads — the NOCAP
-    /// executor body every other entry point ends in. With a recording
-    /// `obs`: main-thread phase spans around each pass, per-worker scan
-    /// spans, per-task probe spans, partition skew histograms and the
-    /// buffer-pool high-water gauge. Recording never influences routing,
-    /// destaging or claim order — clocks stay in the obs channel.
+    /// entry point every other one ends in. It hands the plan's cached keys,
+    /// designated partitions, fixed pages and [`RestGeometry`] to the
+    /// shared hybrid-hash body, [`run_hybrid`]; see there for the
+    /// determinism contract, the memory accounting and what a recording
+    /// `obs` captures.
     pub fn run_parallel_with_plan_obs(
         &self,
         r: &Relation,
@@ -156,225 +125,27 @@ impl NocapJoin {
         threads: usize,
         obs: &Obs,
     ) -> nocap_storage::Result<JoinRunReport> {
-        let threads = if threads == 0 {
-            nocap_par::default_threads()
-        } else {
-            threads
+        let spec = self.spec();
+        let config = self.config();
+        let hybrid = HybridPlan {
+            label: "NOCAP",
+            mem_keys: plan.mem_key_set(),
+            designated: plan.disk_map(),
+            num_designated: plan.num_designated(),
+            fixed_pages: plan.fixed_memory_pages(spec),
+            residual: |rest_budget| {
+                let RestGeometry { rh, caps } = RestGeometry::new(
+                    spec,
+                    rest_budget,
+                    plan.estimated_rest_keys,
+                    config.planner.rh_params,
+                );
+                (caps, move |key| rh.partition_of(key))
+            },
+            bloom: config.bloom,
         };
-        let spec = *self.spec();
-        let device = r.device().clone();
-        let _io_trace = obs.attach_io(&device);
-        let pool = BufferPool::new(spec.buffer_pages);
-        // The §4.1 budget breakdown: one streaming input page, one output
-        // page, then the plan's fixed structures.
-        let _io_pages = pool.reserve(2)?;
-        let _fixed = pool.reserve(plan.fixed_memory_pages(&spec).min(pool.available()))?;
-        let rest_budget = pool.available();
-        // Reserve the probe-side bloom *after* reading the residual budget
-        // (so partition geometry and quotas never shift) and *before* the
-        // quota carving below consumes every remaining page; an exhausted
-        // pool skips the filter instead of failing. Its bits depend only on
-        // the staged key multiset — thread-count invariant.
-        let bloom_reservation = self.config().bloom.reserve(&pool);
-
-        let timer = obs.run_timer();
-        let base_stats = device.stats();
-
-        let mem_set = plan.mem_key_set();
-        let disk_map = plan.disk_map();
-        let m_disk = plan.num_designated();
-
-        let geometry = RestGeometry::new(
-            &spec,
-            rest_budget,
-            plan.estimated_rest_keys,
-            self.config().planner.rh_params,
-        );
-        // Make the quota carving visible to the pool: one reservation per
-        // residual partition, together covering exactly the residual budget
-        // (the same even split as `geometry.caps`).
-        let _quotas: Vec<Reservation> = pool.carve_remaining(geometry.num_partitions());
-
-        // ---- Phase 1: partition R (Algorithm 8, sharded) -----------------
-        let stager = ParallelStager::new(device.clone(), r.layout(), spec, geometry.caps.clone());
-        let r_disk = SharedWriterSet::new(
-            device.clone(),
-            r.layout(),
-            spec.page_size,
-            IoKind::RandWrite,
-            m_disk,
-        );
-        let ht_shared = Mutex::new(JoinHashTable::new(r.layout(), spec.page_size, spec.fudge));
-        let r_shards = page_shards(r.num_pages(), threads);
-        let r_partition_span = obs.span(Phase::Partition);
-        let stages = run_workers_obs(threads, obs, Phase::Partition, |w, _wobs| {
-            let mut stage = stager.worker_stage();
-            // Per-worker radix write buffers: residual records batch up per
-            // partition and flush into the stager in cache-friendly runs.
-            // Per-partition arrival order within this worker is preserved
-            // and quota destaging depends only on per-partition counts, so
-            // staged contents and spill decisions are unchanged.
-            let mut router = RadixRouter::new(r.layout(), geometry.num_partitions());
-            let mut scan = r.scan_range(r_shards[w].clone());
-            while let Some(page) = scan.next_page()? {
-                for rec in page.record_refs() {
-                    if mem_set.contains(&rec.key()) {
-                        // R is the primary-key side: cached keys are rare, so
-                        // this lock is cold.
-                        lock_unpoisoned(&ht_shared).insert_ref(rec);
-                    } else if let Some(&pid) = disk_map.get(&rec.key()) {
-                        r_disk.push(pid as usize, rec)?;
-                    } else {
-                        let p = geometry.rh.partition_of(rec.key());
-                        router.push(p, rec, &mut |p, r| stager.insert(&mut stage, p, r))?;
-                    }
-                }
-            }
-            router.finish(&mut |p, r| stager.insert(&mut stage, p, r))?;
-            Ok(stage)
-        })?;
-        drop(r_partition_span);
-        let spill_span = obs.span(Phase::Spill);
-        let rest_build = stager.finish(stages)?;
-        // Every finished spill handle is adopted immediately, so an error
-        // anywhere below — probing, a faulted device — deletes all spill
-        // files on unwind.
-        let mut spill_guard = SpillGuard::new();
-        spill_guard.adopt_all(rest_build.spilled.iter().flatten().cloned());
-        let r_disk_handles = r_disk.finish_dense()?;
-        spill_guard.adopt_all(r_disk_handles.iter().cloned());
-        drop(spill_span);
-        let mut ht_mem = into_inner_unpoisoned(ht_shared);
-        {
-            let _build_span = obs.span(Phase::Build);
-            for rec in rest_build.staged_records.iter() {
-                ht_mem.insert_ref(rec);
-            }
-        }
-        // Freeze the completed build side for vectorized probes and build
-        // the probe pre-filter from its keys (order-invariant bit contents).
-        ht_mem.seal();
-        let bloom = self
-            .config()
-            .bloom
-            .build(&ht_mem, &bloom_reservation, spec.page_size);
-
-        // ---- Phase 2: partition / probe S (Algorithm 9, sharded) ---------
-        let s_disk = SharedWriterSet::new(
-            device.clone(),
-            s.layout(),
-            spec.page_size,
-            IoKind::RandWrite,
-            m_disk,
-        );
-        let s_rest = SharedWriterSet::new_masked(
-            device.clone(),
-            s.layout(),
-            spec.page_size,
-            IoKind::RandWrite,
-            &rest_build.pob,
-        );
-        let s_shards = page_shards(s.num_pages(), threads);
-        let ht_ref = &ht_mem;
-        let bloom_ref = &bloom;
-        let pob = &rest_build.pob;
-        let s_partition_span = obs.span(Phase::Partition);
-        let probe_counts = run_workers_obs(threads, obs, Phase::Partition, |w, _wobs| {
-            let mut output = 0u64;
-            let mut scan = s.scan_range(s_shards[w].clone());
-            while let Some(page) = scan.next_page()? {
-                for rec in page.record_refs() {
-                    if let Some(&pid) = disk_map.get(&rec.key()) {
-                        s_disk.push(pid as usize, rec)?;
-                        continue;
-                    }
-                    // Bloom-negative keys take the identical `matches == 0`
-                    // route (no false negatives), so routing and modeled
-                    // I/O match the filterless run bit for bit.
-                    let matches = if bloom_ref.as_ref().is_none_or(|b| b.may_contain(rec.key())) {
-                        ht_ref.probe_count(rec.key())
-                    } else {
-                        0
-                    };
-                    if matches > 0 {
-                        output += matches;
-                        continue;
-                    }
-                    let part = geometry.rh.partition_of(rec.key());
-                    if pob[part] {
-                        s_rest.push(part, rec)?;
-                    }
-                    // else: the partition stayed in memory and the key had
-                    // no match.
-                }
-            }
-            Ok(output)
-        })?;
-        let mut output: u64 = probe_counts.into_iter().sum();
-        drop(s_partition_span);
-        let partition_io = device.stats().since(&base_stats);
-        record_partition_skew(
-            obs,
-            &r_disk_handles,
-            rest_build.spilled.iter().flatten(),
-            rest_build.pob.len(),
-        );
-
-        // ---- Phase 3: partition-wise joins, fanned out -------------------
-        // Partial output-buffer pages flush inside this probe window.
-        let probe_base = device.stats();
-        let probe_span = obs.span(Phase::Probe);
-        let s_disk_handles = s_disk.finish_dense()?;
-        spill_guard.adopt_all(s_disk_handles.iter().cloned());
-        let s_rest_handles = s_rest.finish_all()?;
-        spill_guard.adopt_all(s_rest_handles.iter().flatten().cloned());
-        let mut pairs: Vec<(PartitionHandle, PartitionHandle)> = Vec::new();
-        for (r_part, s_part) in r_disk_handles.iter().zip(s_disk_handles.iter()) {
-            pairs.push((r_part.clone(), s_part.clone()));
-        }
-        for (maybe_r, maybe_s) in rest_build.spilled.iter().zip(s_rest_handles.iter()) {
-            if let (Some(r_part), Some(s_part)) = (maybe_r, maybe_s) {
-                pairs.push((r_part.clone(), s_part.clone()));
-            }
-        }
-        output += sum_tasks_obs(threads, obs, Phase::Probe, pairs.len(), |i| {
-            smart_partition_join(&pairs[i].0, &pairs[i].1, &spec, 1)
-        })?;
-        drop(probe_span);
-        let probe_io = device.stats().since(&probe_base);
-
-        // Dropping the guard deletes every spill file (not counted as I/O).
-        drop(spill_guard);
-
-        obs.gauge_max("buffer_pool_peak_pages", pool.peak() as u64);
-        let mut report = JoinRunReport::new("NOCAP");
-        report.output_records = output;
-        report.partition_io = partition_io;
-        report.probe_io = probe_io;
-        report.finish_run(timer, obs);
-        Ok(report)
+        run_hybrid(spec, r, s, hybrid, threads, obs)
     }
-}
-
-/// Records NOCAP's partition-fan-out skew histograms and counters:
-/// per-spilled-partition record and page counts (designated partitions
-/// first, then destaged residuals) plus the partition-census counters the
-/// breakdown tables report.
-fn record_partition_skew<'a>(
-    obs: &Obs,
-    designated: &'a [PartitionHandle],
-    spilled_rest: impl Iterator<Item = &'a PartitionHandle> + Clone,
-    rest_partitions: usize,
-) {
-    if !obs.is_recording() {
-        return;
-    }
-    let handles = || designated.iter().chain(spilled_rest.clone());
-    obs.values("partition_records", handles().map(|h| h.records() as u64));
-    obs.values("partition_pages", handles().map(|h| h.pages() as u64));
-    obs.count("designated_partitions", designated.len() as u64);
-    obs.count("rest_partitions", rest_partitions as u64);
-    obs.count("spilled_rest_partitions", spilled_rest.count() as u64);
 }
 
 #[cfg(test)]

@@ -4,7 +4,7 @@
 //! Partitioning, §3) and **NOCAP** (Near-Optimal Correlation-Aware
 //! Partitioning, §4) for primary-key / foreign-key storage-based joins.
 //!
-//! * [`ocap`] — the theoretically I/O-optimal partitioner. Given the full
+//! * [`ocap`](mod@ocap) — the theoretically I/O-optimal partitioner. Given the full
 //!   correlation table it finds, via dynamic programming over the canonical
 //!   partitionings of Theorem 3.1, which keys to cache in memory and how to
 //!   cut the remaining keys into partitions so that the per-partition
@@ -19,12 +19,13 @@
 //!   residual partitions an exact multiple of the NBJ chunk size.
 //! * [`exec`] — the NOCAP operator (Algorithms 8 and 9): its configuration,
 //!   the residual-partition geometry and graceful degradation.
-//! * [`exec_par`] — the executor body and its entry points
-//!   ([`NocapJoin::run_parallel_obs`] and friends): runs a [`NocapPlan`]
-//!   against real [`Relation`](nocap_storage::Relation)s on a
-//!   [`BlockDevice`](nocap_storage::BlockDevice) with sharded partitioning
-//!   scans and a fanned-out probe phase on the `nocap-par` worker pool,
-//!   producing a measured [`JoinRunReport`](nocap_model::JoinRunReport)
+//! * [`exec_par`] — the entry points ([`NocapJoin::run_parallel_obs`] and
+//!   friends): run a [`NocapPlan`] against real
+//!   [`Relation`](nocap_storage::Relation)s on a
+//!   [`BlockDevice`](nocap_storage::BlockDevice) through the hybrid-hash
+//!   body NOCAP shares with DHH ([`nocap_par::run_hybrid`]: sharded
+//!   partitioning scans and a fanned-out probe phase on the `nocap-par`
+//!   worker pool), producing a measured [`JoinRunReport`](nocap_model::JoinRunReport)
 //!   whose output and modeled I/O are the same for every thread count
 //!   (`threads = 1` is the sequential run).
 //! * [`plan`] — the [`NocapPlan`] data structure shared by the planner and

@@ -19,37 +19,33 @@
 //! even share of the staging budget ([`nocap_par::even_caps`]) and is
 //! destaged the moment its own staged footprint exceeds that share — a
 //! function of the partition's total record count only. The destaged set is
-//! therefore identical for any scan order or thread interleaving, which is
-//! what lets one executor body, [`DhhJoin::run_parallel_obs`], serve every
-//! thread count (`threads = 1` is the sequential run); total staged pages
-//! plus one output buffer per destaged partition still never exceed the
-//! budget.
+//! therefore identical for any scan order or thread interleaving.
+//!
+//! **One body.** DHH is NOCAP's hybrid-hash procedure with no designated
+//! partitions, a modulo router and skew keys in place of planned cached
+//! keys. [`DhhJoin::run_parallel_obs`] decides only those — the skew keys,
+//! `m_DHH` and the even quotas — and runs the shared body,
+//! [`nocap_par::run_hybrid`], for every thread count (`threads = 1` is the
+//! sequential run).
 //!
 //! **Skew optimization.** Practical systems (PostgreSQL, Histojoin) add a
 //! small dedicated hash table for the most common values: if the tracked
 //! MCVs cover at least `skew_frequency_threshold` of S, the hottest MCV keys
-//! are pinned in memory using at most `skew_memory_fraction · B` pages. Both
-//! thresholds are fixed constants in deployed systems (2 % each); they are
-//! constructor parameters here so that Figure 11's sensitivity sweep can be
-//! reproduced. Histojoin (Cutt & Lawrence) is the same executor with a zero
-//! trigger threshold — the paper's configuration — so it is a preset,
-//! [`DhhConfig::histojoin`], not a separate operator.
+//! are pinned in memory using at most `skew_memory_fraction · B` pages (a
+//! fraction of 0 turns the optimization off). Both thresholds are fixed
+//! constants in deployed systems (2 % each); they are constructor parameters
+//! here so that Figure 11's sensitivity sweep can be reproduced. Histojoin
+//! (Cutt & Lawrence) is the same executor with a zero trigger threshold —
+//! the paper's configuration — so it is a preset, [`DhhConfig::histojoin`],
+//! not a separate operator.
 
-use std::collections::HashSet;
-use std::sync::Mutex;
+use std::collections::{HashMap, HashSet};
 
-use nocap_model::pairwise::smart_partition_join;
 use nocap_model::{BudgetLadder, DegradedRun, JoinRunReport, JoinSpec, ProbeBloom};
-use nocap_obs::{Obs, Phase};
-use nocap_par::{
-    default_threads, even_caps, page_shards, run_workers_obs, sum_tasks_obs, ParallelStager,
-    SharedWriterSet,
-};
+use nocap_obs::Obs;
+use nocap_par::{even_caps, run_hybrid, HybridPlan};
 use nocap_stats::StatsSummary;
-use nocap_storage::{
-    into_inner_unpoisoned, lock_unpoisoned, BufferPool, IoKind, JoinHashTable, PartitionHandle,
-    RadixRouter, Relation, Reservation, SpillGuard,
-};
+use nocap_storage::{BufferPool, JoinHashTable, Relation};
 
 /// SplitMix64 hash for partition routing (the shared workspace key hash).
 use nocap_storage::hash::mix64 as hash_key;
@@ -58,13 +54,12 @@ use nocap_storage::hash::mix64 as hash_key;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DhhConfig {
     /// Fraction of the memory budget reserved for the skew-key hash table
-    /// (PostgreSQL and Histojoin use 2 %).
+    /// (PostgreSQL and Histojoin use 2 %; 0 disables the skew
+    /// optimization).
     pub skew_memory_fraction: f64,
     /// Minimum fraction of S that the tracked MCVs must cover before the
     /// skew optimization is triggered (PostgreSQL uses 2 %, Histojoin 0).
     pub skew_frequency_threshold: f64,
-    /// Enables/disables the skew optimization altogether.
-    pub skew_optimization: bool,
 }
 
 impl Default for DhhConfig {
@@ -72,7 +67,6 @@ impl Default for DhhConfig {
         DhhConfig {
             skew_memory_fraction: 0.02,
             skew_frequency_threshold: 0.02,
-            skew_optimization: true,
         }
     }
 }
@@ -85,7 +79,6 @@ impl DhhConfig {
         DhhConfig {
             skew_memory_fraction: 0.02,
             skew_frequency_threshold: 0.0,
-            skew_optimization: true,
         }
     }
 
@@ -94,7 +87,6 @@ impl DhhConfig {
         DhhConfig {
             skew_memory_fraction: 0.0,
             skew_frequency_threshold: 1.0,
-            skew_optimization: false,
         }
     }
 }
@@ -153,33 +145,18 @@ impl DhhJoin {
         })
     }
 
-    /// Executes `r ⋈ s` on `threads` worker threads — the DHH executor
-    /// body. `mcvs` are the tracked most-common-value statistics
-    /// (`(key, frequency)` pairs) the skew optimization draws from; pass an
-    /// empty slice to disable its inputs.
+    /// Executes `r ⋈ s` on `threads` worker threads. `mcvs` are the
+    /// tracked most-common-value statistics (`(key, frequency)` pairs) the
+    /// skew optimization draws from; pass an empty slice to disable its
+    /// inputs. `threads == 0` selects [`nocap_par::default_threads`].
     ///
-    /// `threads == 0` selects [`nocap_par::default_threads`] (the
-    /// `NOCAP_THREADS` environment variable, falling back to the machine's
-    /// parallelism). The output cardinality and the full per-phase modeled
-    /// I/O trace are the same for every thread count:
-    ///
-    /// * both scans are sharded over disjoint page ranges
-    ///   ([`page_shards`]), costing the same `‖R‖ + ‖S‖` sequential reads;
-    /// * R partitioning drives DHH's modulo router over a
-    ///   [`ParallelStager`] with fixed per-partition quotas ([`even_caps`]),
-    ///   so the destaged partition set and per-partition spill page counts
-    ///   depend only on each partition's total record count — never on
-    ///   thread interleaving;
-    /// * every spilled S partition funnels through one shared
-    ///   output-buffer page ([`SharedWriterSet`]), flushing exactly
-    ///   `⌈n / b⌉` pages;
-    /// * the spilled partition pairs are claimed from a work queue and
-    ///   joined with the same [`smart_partition_join`], whose per-pair I/O
-    ///   is independent of claim order.
-    ///
-    /// With a recording `obs`, phase spans (partition, spill, build, probe),
-    /// per-worker timelines, spilled-partition skew histograms and the
-    /// buffer-pool high-water mark land in the report's trace.
+    /// DHH decides the skew keys (reserving their hash table as its fixed
+    /// pages), `m_DHH` and the [`even_caps`] quotas over the residual
+    /// budget, and routes residual keys by `mix64(key) % m_DHH`; the shared
+    /// hybrid-hash body, [`run_hybrid`], does the rest. See there for the
+    /// determinism contract (output and per-phase modeled I/O identical at
+    /// every thread count), the memory accounting and what a recording
+    /// `obs` captures.
     pub fn run_parallel_obs(
         &self,
         r: &Relation,
@@ -188,156 +165,25 @@ impl DhhJoin {
         threads: usize,
         obs: &Obs,
     ) -> nocap_storage::Result<JoinRunReport> {
-        let threads = if threads == 0 {
-            default_threads()
-        } else {
-            threads
-        };
         let spec = &self.spec;
-        let device = r.device().clone();
-        let _io_trace = obs.attach_io(&device);
-        let timer = obs.run_timer();
-        let base = device.stats();
-        let pool = BufferPool::new(spec.buffer_pages);
-        let _io_pages = pool.reserve(2)?;
-
-        // ---- Skew optimization: pick the keys pinned in memory -----------
         let skew_keys = self.select_skew_keys(mcvs, s.num_records() as u64);
-        let skew_pages = spec.hash_table_pages(skew_keys.len());
-        let _skew_reservation = pool.reserve(skew_pages.min(pool.available()))?;
-
-        // ---- Partition R (Algorithm 1, sharded) --------------------------
-        // Partition count and quotas are fixed before any record is routed.
-        let m_dhh = spec
-            .m_dhh(r.num_records())
-            .min(pool.available().saturating_sub(1).max(1));
-        let caps = even_caps(pool.available().max(1), m_dhh);
-        // Reserve the probe-side bloom after the quota geometry is derived
-        // and before the carving below consumes every remaining page; an
-        // exhausted pool skips the filter.
-        let bloom_reservation = self.bloom.reserve(&pool);
-        // Make the quota carving visible to the pool, one reservation per
-        // partition covering exactly the staging budget.
-        let _quotas: Vec<Reservation> = pool.carve_remaining(caps.len());
-
-        let stager = ParallelStager::new(device.clone(), r.layout(), *spec, caps);
-        let ht_shared = Mutex::new(JoinHashTable::new(r.layout(), spec.page_size, spec.fudge));
-        let r_shards = page_shards(r.num_pages(), threads);
-        let r_partition_span = obs.span(Phase::Partition);
-        let stages = run_workers_obs(threads, obs, Phase::Partition, |w, _wobs| {
-            let mut stage = stager.worker_stage();
-            // Per-worker radix write buffers in front of the stager:
-            // per-partition arrival order within this worker is preserved
-            // and destaging depends only on counts.
-            let mut router = RadixRouter::new(r.layout(), stager.num_partitions());
-            let mut scan = r.scan_range(r_shards[w].clone());
-            while let Some(page) = scan.next_page()? {
-                for rec in page.record_refs() {
-                    if skew_keys.contains(&rec.key()) {
-                        // R is the primary-key side: each skew key appears
-                        // once in R, so this lock is cold.
-                        lock_unpoisoned(&ht_shared).insert_ref(rec);
-                    } else {
-                        let p = (hash_key(rec.key()) % stager.num_partitions() as u64) as usize;
-                        router.push(p, rec, &mut |p, r| stager.insert(&mut stage, p, r))?;
-                    }
-                }
-            }
-            router.finish(&mut |p, r| stager.insert(&mut stage, p, r))?;
-            Ok(stage)
-        })?;
-        drop(r_partition_span);
-        let build = {
-            let _spill_span = obs.span(Phase::Spill);
-            stager.finish(stages)?
+        let n_r = r.num_records();
+        let hybrid = HybridPlan {
+            label: "DHH",
+            fixed_pages: spec.hash_table_pages(skew_keys.len()),
+            mem_keys: skew_keys,
+            designated: HashMap::new(),
+            num_designated: 0,
+            residual: |rest_budget: usize| {
+                // Partition count and quotas are fixed before any record is
+                // routed.
+                let m_dhh = spec.m_dhh(n_r).min(rest_budget.saturating_sub(1).max(1));
+                let caps = even_caps(rest_budget.max(1), m_dhh);
+                (caps, move |key| (hash_key(key) % m_dhh as u64) as usize)
+            },
+            bloom: self.bloom,
         };
-        // Adopt spill handles as they finish so any later error deletes all
-        // spill files on unwind.
-        let mut spill_guard = SpillGuard::new();
-        spill_guard.adopt_all(build.spilled.iter().flatten().cloned());
-        let mut ht_mem = into_inner_unpoisoned(ht_shared);
-        {
-            let _build_span = obs.span(Phase::Build);
-            for rec in build.staged_records.iter() {
-                ht_mem.insert_ref(rec);
-            }
-        }
-        // Freeze the completed build side for vectorized probes and build
-        // the probe pre-filter from its keys; the filter's bits are
-        // multiset-determined, hence thread-count invariant.
-        ht_mem.seal();
-        let bloom = self
-            .bloom
-            .build(&ht_mem, &bloom_reservation, spec.page_size);
-
-        // ---- Partition / probe S (Algorithm 2, sharded) ------------------
-        let s_writers = SharedWriterSet::new_masked(
-            device.clone(),
-            s.layout(),
-            spec.page_size,
-            IoKind::RandWrite,
-            &build.pob,
-        );
-        let s_shards = page_shards(s.num_pages(), threads);
-        let ht_ref = &ht_mem;
-        let bloom_ref = &bloom;
-        let pob = &build.pob;
-        let s_partition_span = obs.span(Phase::Partition);
-        let probe_counts = run_workers_obs(threads, obs, Phase::Partition, |w, _wobs| {
-            let mut output = 0u64;
-            let mut scan = s.scan_range(s_shards[w].clone());
-            while let Some(page) = scan.next_page()? {
-                for rec in page.record_refs() {
-                    let matches = if bloom_ref.as_ref().is_none_or(|b| b.may_contain(rec.key())) {
-                        ht_ref.probe_count(rec.key())
-                    } else {
-                        0
-                    };
-                    if matches > 0 {
-                        output += matches;
-                        continue;
-                    }
-                    let p = (hash_key(rec.key()) % pob.len() as u64) as usize;
-                    if pob[p] {
-                        s_writers.push(p, rec)?;
-                    }
-                }
-            }
-            Ok(output)
-        })?;
-        drop(s_partition_span);
-        let mut output: u64 = probe_counts.into_iter().sum();
-        let partition_io = device.stats().since(&base);
-        record_dhh_skew(obs, &build.spilled, &build.pob, build.staged_records.len());
-
-        // ---- Probe the spilled partition pairs, fanned out ---------------
-        // Partial S output-buffer pages flush inside this probe window.
-        let probe_base = device.stats();
-        let probe_span = obs.span(Phase::Probe);
-        let s_handles = s_writers.finish_all()?;
-        spill_guard.adopt_all(s_handles.iter().flatten().cloned());
-        let mut pairs: Vec<(PartitionHandle, PartitionHandle)> = Vec::new();
-        for (maybe_r, maybe_s) in build.spilled.iter().zip(s_handles.iter()) {
-            if let (Some(r_part), Some(s_part)) = (maybe_r, maybe_s) {
-                pairs.push((r_part.clone(), s_part.clone()));
-            }
-        }
-        output += sum_tasks_obs(threads, obs, Phase::Probe, pairs.len(), |i| {
-            smart_partition_join(&pairs[i].0, &pairs[i].1, spec, 1)
-        })?;
-        drop(probe_span);
-        let probe_io = device.stats().since(&probe_base);
-
-        // Dropping the guard deletes every spill file (not counted as I/O).
-        drop(spill_guard);
-
-        obs.gauge_max("buffer_pool_peak_pages", pool.peak() as u64);
-        let mut report = JoinRunReport::new("DHH");
-        report.output_records = output;
-        report.partition_io = partition_io;
-        report.probe_io = probe_io;
-        report.finish_run(timer, obs);
-        Ok(report)
+        run_hybrid(spec, r, s, hybrid, threads, obs)
     }
 
     /// Executes `r ⋈ s` with statistics from a one-pass sketch summary
@@ -364,7 +210,7 @@ impl DhhJoin {
     /// Chooses which MCV keys are pinned in the skew hash table.
     fn select_skew_keys(&self, mcvs: &[(u64, u64)], n_s: u64) -> HashSet<u64> {
         let mut selected = HashSet::new();
-        if !self.config.skew_optimization || mcvs.is_empty() || n_s == 0 {
+        if mcvs.is_empty() || n_s == 0 {
             return selected;
         }
         let total_mcv_mass: u64 = mcvs.iter().map(|&(_, c)| c).sum();
@@ -391,40 +237,12 @@ impl DhhJoin {
     }
 }
 
-/// Records DHH's partition-skew profile on the observability channel: size
-/// histograms over the destaged partitions plus staged/spilled counters.
-/// The quota geometry destages the same partition set at every thread
-/// count, so the recorded skew is thread-count invariant.
-fn record_dhh_skew(
-    obs: &Obs,
-    spilled: &[Option<PartitionHandle>],
-    pob: &[bool],
-    staged_records: usize,
-) {
-    if !obs.is_recording() {
-        return;
-    }
-    obs.values(
-        "partition_records",
-        spilled.iter().flatten().map(|h| h.records() as u64),
-    );
-    obs.values(
-        "partition_pages",
-        spilled.iter().flatten().map(|h| h.pages() as u64),
-    );
-    obs.count("partitions", pob.len() as u64);
-    obs.count(
-        "spilled_partitions",
-        pob.iter().filter(|&&spilled| spilled).count() as u64,
-    );
-    obs.count("staged_records", staged_records as u64);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::naive::naive_join_count;
     use crate::testutil::{assert_parallel_equivalence, build_workload, mcvs, pinned_report};
+    use nocap_par::ParallelStager;
     use nocap_storage::{Record, SimDevice};
 
     /// Runs the join through the executor at one thread, unobserved.
@@ -718,7 +536,6 @@ mod tests {
             DhhConfig {
                 skew_memory_fraction: 0.02,
                 skew_frequency_threshold: 0.5,
-                skew_optimization: true,
             },
         );
         // MCV mass of 10 out of n_S = 1000 < 50 % threshold → no skew keys.

@@ -26,7 +26,9 @@
 //! spec's budget and returns a [`JoinRunReport`](nocap_model::JoinRunReport)
 //! with the measured I/O trace. Each has exactly one executor body, taking
 //! the worker-thread count (where it parallelizes) and an observability
-//! handle; `threads = 1` is the sequential run.
+//! handle; `threads = 1` is the sequential run. DHH's body is the
+//! hybrid-hash procedure it shares with NOCAP,
+//! [`nocap_par::run_hybrid`].
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

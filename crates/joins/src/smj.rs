@@ -9,14 +9,14 @@
 //! losing slightly on latency.
 //!
 //! The whole path runs on the arena record pipeline: run generation sorts
-//! `(key, payload-index)` pairs over a [`RecordBatch`]
-//! (nocap_storage::RecordBatch) arena (no per-record allocation), and the
+//! `(key, payload-index)` pairs over a
+//! [`RecordBatch`](nocap_storage::RecordBatch) arena (no per-record allocation), and the
 //! fused merge drives two [`LoserTree`]s of page-mode run cursors, reading
 //! only the 8-byte keys — payload bytes never move during the join itself.
 //!
 //! [`SortMergeJoin::run_parallel_obs`] parallelizes run generation: workers
 //! claim chunks of the **fixed** page grid
-//! ([`run_chunks`](nocap_storage::run_chunks) — chunk `i` always covers
+//! ([`run_chunks`] — chunk `i` always covers
 //! pages `[i·(B−1), (i+1)·(B−1))`) from an atomic cursor and sort them
 //! independently; the runs are collected in canonical chunk order, so the
 //! merge cascade and the fused join see exactly the same byte sequence at

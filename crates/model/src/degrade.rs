@@ -3,7 +3,7 @@
 //! NOCAP plans for a fixed budget of `B` pages, but a deployed operator can
 //! meet an admission-control pool that cannot grant `B` — or discover
 //! mid-plan that `B` was optimistic (a
-//! [`StorageError::OutOfMemory`](nocap_storage::StorageError::OutOfMemory)
+//! [`StorageError::OutOfMemory`]
 //! from a buffer-pool reservation). The cost model is monotone in `B`:
 //! shrinking the budget never makes a plan infeasible, it only buys more
 //! passes (§4 — smaller `B` means more partitions and more spill I/O). So

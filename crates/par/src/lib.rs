@@ -38,11 +38,17 @@
 //!   of the above (columnar `RecordBatch` staging, zero-copy inserts,
 //!   routing left to the caller); the tests pin [`ParallelStager`] against
 //!   it.
+//! * [`hybrid`] — [`run_hybrid`], the one hybrid-hash executor body NOCAP
+//!   and DHH share: partition R (in-memory keys, designated partitions,
+//!   quota-staged residuals), spill and build, partition and probe S, then
+//!   the fanned-out pairwise probe. Each algorithm hands it a
+//!   [`HybridPlan`] of its own decisions.
 //!
 //! The crate is deliberately generic: routing (which partition a record
 //! belongs to) stays with the caller, so `nocap` (rounded-hash routing),
 //! GHJ (plain hash), DHH (modulo hash over the shared quota geometry) and
-//! any future operator reuse the same machinery. The same worker pool and
+//! any future operator reuse the same machinery; [`run_hybrid`] takes the
+//! router as a parameter of the plan. The same worker pool and
 //! page sharding also drive `nocap-stats`' sharded parallel collection
 //! (`StatsCollector::collect_parallel`), whose fixed shard grid plays the
 //! role the per-partition quotas play here: a decomposition fixed by the
@@ -53,6 +59,7 @@
 #![forbid(unsafe_code)]
 
 pub mod cancel;
+pub mod hybrid;
 pub mod pool;
 pub mod quota;
 pub mod quota_stage;
@@ -60,6 +67,7 @@ pub mod shard;
 pub mod stage;
 
 pub use cancel::CancelToken;
+pub use hybrid::{run_hybrid, HybridPlan};
 pub use pool::{
     default_threads, ordered_tasks, ordered_tasks_obs, run_workers, run_workers_cancel,
     run_workers_obs, sum_tasks, sum_tasks_obs,

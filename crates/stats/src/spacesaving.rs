@@ -11,7 +11,7 @@
 //! so any key whose true frequency exceeds `N / capacity` is guaranteed to be
 //! monitored. This is exactly the information the NOCAP planner needs: the
 //! top-k MCV list with per-key error bounds
-//! ([`McvEstimate`](nocap_model::McvEstimate)).
+//! ([`McvEstimate`]).
 //!
 //! The classic stream-summary structure is replaced by an indexed binary
 //! min-heap over the counters — `offer` is O(log capacity) and the layout is

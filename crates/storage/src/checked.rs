@@ -20,7 +20,7 @@
 //!
 //! Because the wrapped devices count I/O only after validation, an injected
 //! error that is retried to success leaves the modeled
-//! [`IoStats`](crate::IoStats) identical to a fault-free run; only a
+//! [`IoStats`] identical to a fault-free run; only a
 //! *corrupt* read costs an extra (honest) physical re-read. Retry activity
 //! is tracked separately in [`RetryStats`] so the modeled counters — which
 //! the determinism pins compare bit-exactly — are never perturbed by the

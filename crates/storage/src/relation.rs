@@ -10,7 +10,7 @@
 //! Bulk loading counts as sequential writes on the device. Experiments that
 //! only want to measure the *join*'s I/O (as the paper does — both input
 //! relations pre-exist on disk) should call
-//! [`BlockDevice::reset_stats`] after loading; the experiment harness in
+//! [`BlockDevice::reset_stats`](crate::device::BlockDevice::reset_stats) after loading; the experiment harness in
 //! `nocap-bench` does exactly that.
 
 use std::sync::Arc;
@@ -219,7 +219,7 @@ impl RelationBuilder {
 ///   [`Relation::read_all`], statistics collection and the external sorter.
 ///
 /// The two modes may be interleaved: the iterator simply drains whatever
-/// page [`next_page`] would return next.
+/// page [`next_page`](Self::next_page) would return next.
 pub struct RelationScan {
     relation: Relation,
     next_page: usize,

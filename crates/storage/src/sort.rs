@@ -12,15 +12,14 @@
 //! Both phases run on the arena record pipeline — no per-record heap
 //! allocation anywhere on the hot path:
 //!
-//! * **Run generation** consumes page-mode scans ([`RelationScan::next_page`]
-//!   (crate::RelationScan::next_page)) into a columnar [`RecordBatch`] arena
+//! * **Run generation** consumes page-mode scans ([`RelationScan::next_page`](crate::RelationScan::next_page)) into a columnar [`RecordBatch`] arena
 //!   and sorts `(u64 key, u32 payload-index)` pairs with an unstable sort.
 //!   Because the pair includes the unique insertion index, the unstable sort
 //!   reproduces the stable-by-key order exactly (the tuple order is total),
 //!   so run contents are identical to the pre-arena stable sorter. Payloads
 //!   are moved once, by [`PartitionWriter::push_ref`], when the run spills.
 //! * **Merging** drives a [`LoserTree`] of per-run page-mode cursors
-//!   ([`RunCursor`]) that yield [`RecordRef`]s straight out of the run pages
+//!   (`RunCursor`) that yield [`RecordRef`]s straight out of the run pages
 //!   — `log₂ k` key comparisons per record, zero copies, zero allocations.
 //!
 //! The chunk grid of run generation ([`run_chunks`]) is **fixed by the data

@@ -11,7 +11,7 @@
 //! *item* granularity (push one record, bump one counter, flush one page):
 //! a panic mid-critical-section can lose at most the in-flight item, never
 //! leave the structure structurally broken. Recovering the guard with
-//! [`PoisonError::into_inner`] is therefore safe, and the panic itself is
+//! [`PoisonError::into_inner`](std::sync::PoisonError::into_inner) is therefore safe, and the panic itself is
 //! surfaced separately as `StorageError::WorkerPanicked` by the `nocap-par`
 //! runtime. These helpers centralize that recovery so no call site needs to
 //! re-justify it.

@@ -494,19 +494,30 @@ fn collect_parallel_summaries_are_bit_identical_on_generated_workloads() {
     }
 }
 
+/// The partition-census counters the shared NOCAP/DHH body records.
+const HYBRID_COUNTERS: &[&str] = &[
+    "designated_partitions",
+    "rest_partitions",
+    "spilled_rest_partitions",
+    "staged_records",
+];
+
 /// Shared body of the recorder differential checks: a recorder-off run and
 /// recorder-on runs at 1/2/4/8 workers against the pinned numbers.
 /// Recording must not change the join output or the per-phase modeled I/O,
 /// and every recorded trace must carry the expected main-thread phases, the
-/// listed histograms and one timeline per worker.
+/// listed histograms, the listed counters (equal at every thread count) and
+/// one timeline per worker.
 fn assert_recording_is_invisible(
     label: &str,
     baseline: &JoinRunReport,
     expected_phases: &[Phase],
     expected_histograms: &[&str],
+    expected_counters: &[&str],
     workers_exact: bool,
     run: impl Fn(usize, &Obs) -> JoinRunReport,
 ) {
+    let mut first_counters: Option<Vec<u64>> = None;
     let blind = run(1, &Obs::off());
     assert!(
         blind.trace.is_none(),
@@ -546,6 +557,21 @@ fn assert_recording_is_invisible(
                 "{label}: histogram {hist} missing at {threads} threads"
             );
         }
+        // The partition census is a function of per-partition totals, so
+        // every counter must read the same at every thread count.
+        let counters: Vec<u64> = expected_counters
+            .iter()
+            .map(|&name| {
+                *trace.counters.get(name).unwrap_or_else(|| {
+                    panic!("{label}: counter {name} missing at {threads} threads")
+                })
+            })
+            .collect();
+        let first = first_counters.get_or_insert_with(|| counters.clone());
+        assert_eq!(
+            &counters, first,
+            "{label}: counters {expected_counters:?} changed at {threads} threads"
+        );
         let workers: std::collections::BTreeSet<usize> =
             trace.spans.iter().filter_map(|s| s.worker).collect();
         if workers_exact {
@@ -577,6 +603,7 @@ fn nocap_trace_recording_changes_nothing_and_captures_the_execution_shape() {
         &pinned(&NOCAP_PINS, "zipf_1.1", 48),
         &[Phase::Partition, Phase::Probe, Phase::Total],
         &["partition_records", "partition_pages"],
+        HYBRID_COUNTERS,
         true,
         |threads, obs| {
             let wl = generate(&workload);
@@ -596,6 +623,7 @@ fn dhh_trace_recording_changes_nothing_and_captures_the_execution_shape() {
         &pinned(&DHH_PINS, "zipf_1.1", 48),
         &[Phase::Partition, Phase::Probe, Phase::Total],
         &["partition_records", "partition_pages"],
+        HYBRID_COUNTERS,
         true,
         |threads, obs| {
             let wl = generate(&workload);
@@ -615,6 +643,7 @@ fn smj_trace_recording_changes_nothing_and_captures_the_execution_shape() {
         &pinned(&SMJ_PINS, "zipf_1.1", 32),
         &[Phase::SortRunGen, Phase::Merge, Phase::Total],
         &["run_pages", "final_run_pages"],
+        &[],
         false,
         |threads, obs| {
             let wl = generate(&workload);
