@@ -52,7 +52,6 @@ fn main() {
                 },
                 ..PlannerConfig::default()
             },
-            ..NocapConfig::default()
         };
         device.reset_stats();
         let plain = NocapJoin::new(spec, plain_cfg)

@@ -25,7 +25,8 @@ pub struct Measurement {
     pub io_latency_secs: f64,
     /// Total latency (I/O + CPU) in seconds.
     pub total_latency_secs: f64,
-    /// Output cardinality (used to cross-check all algorithms agree).
+    /// Output cardinality ([`run_algorithms`] asserts it equals the
+    /// workload's expected join output).
     pub output_records: u64,
 }
 
@@ -71,6 +72,11 @@ impl AlgorithmSet {
 /// Runs the selected algorithms on one workload under one spec and returns
 /// their measurements. The device stats are reset before every run so each
 /// report contains only that join's I/O.
+///
+/// # Panics
+///
+/// If any algorithm's output cardinality differs from the workload's
+/// expected join output, so every figure bin checks its joins' results.
 pub fn run_algorithms(
     workload: &GeneratedWorkload,
     spec: &JoinSpec,
@@ -81,8 +87,13 @@ pub fn run_algorithms(
     let r = &workload.r;
     let s = &workload.s;
     let mcvs = &workload.mcvs;
+    let expected_output = workload.expected_join_output();
 
     let mut push = |name: &str, report: nocap_model::JoinRunReport| {
+        assert_eq!(
+            report.output_records, expected_output,
+            "{name}: join output differs from the workload's expected output"
+        );
         out.push(Measurement {
             algorithm: name.to_string(),
             ios: report.total_ios(),

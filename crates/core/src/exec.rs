@@ -26,22 +26,20 @@
 //! All pages are drawn from a [`BufferPool`] capped at the spec's budget, so
 //! the §4.1 memory breakdown is enforced at run time, not just assumed.
 
-use nocap_model::{BudgetLadder, DegradedRun, JoinSpec, ProbeBloom, RoundedHashParams};
+use nocap_model::{BudgetLadder, DegradedRun, JoinSpec, RoundedHashParams};
 use nocap_obs::Obs;
 use nocap_storage::{BufferPool, Relation};
 
 use crate::planner::PlannerConfig;
 use crate::rounded_hash::RoundedHash;
 
-/// Configuration of the NOCAP executor.
+/// Configuration of the NOCAP executor: the planner's settings. The
+/// probe-side Bloom pre-filter (§6 SIP, [`nocap_model::ProbeBloom`]) is not
+/// a setting; the shared executor body always builds it.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct NocapConfig {
     /// Planner configuration (grid resolution, rounded-hash parameters).
     pub planner: PlannerConfig,
-    /// Probe-side Bloom pre-filter over the in-memory build table (§6 SIP;
-    /// on by default, a pure CPU optimization — output and modeled I/O are
-    /// identical with the filter on or off).
-    pub bloom: ProbeBloom,
 }
 
 /// The NOCAP join operator.

@@ -142,7 +142,6 @@ impl NocapJoin {
                 );
                 (caps, move |key| rh.partition_of(key))
             },
-            bloom: config.bloom,
         };
         run_hybrid(spec, r, s, hybrid, threads, obs)
     }

@@ -41,7 +41,7 @@
 
 use std::collections::{HashMap, HashSet};
 
-use nocap_model::{BudgetLadder, DegradedRun, JoinRunReport, JoinSpec, ProbeBloom};
+use nocap_model::{BudgetLadder, DegradedRun, JoinRunReport, JoinSpec};
 use nocap_obs::Obs;
 use nocap_par::{even_caps, run_hybrid, HybridPlan};
 use nocap_stats::StatsSummary;
@@ -96,24 +96,12 @@ impl DhhConfig {
 pub struct DhhJoin {
     spec: JoinSpec,
     config: DhhConfig,
-    bloom: ProbeBloom,
 }
 
 impl DhhJoin {
     /// Creates a DHH operator with the given spec and skew configuration.
     pub fn new(spec: JoinSpec, config: DhhConfig) -> Self {
-        DhhJoin {
-            spec,
-            config,
-            bloom: ProbeBloom::default(),
-        }
-    }
-
-    /// Overrides the probe-side Bloom pre-filter knob (on by default; a
-    /// pure CPU optimization — output and modeled I/O are unchanged).
-    pub fn with_bloom(mut self, bloom: ProbeBloom) -> Self {
-        self.bloom = bloom;
-        self
+        DhhJoin { spec, config }
     }
 
     /// Creates a DHH operator with the default (PostgreSQL-like) thresholds.
@@ -139,8 +127,7 @@ impl DhhJoin {
         obs: &Obs,
     ) -> nocap_storage::Result<DegradedRun> {
         nocap_model::run_degrading(admission, self.spec.buffer_pages, ladder, obs, |budget| {
-            let degraded = DhhJoin::new(self.spec.with_buffer_pages(budget), self.config)
-                .with_bloom(self.bloom);
+            let degraded = DhhJoin::new(self.spec.with_buffer_pages(budget), self.config);
             degraded.run_parallel_obs(r, s, mcvs, 1, obs)
         })
     }
@@ -181,7 +168,6 @@ impl DhhJoin {
                 let caps = even_caps(rest_budget.max(1), m_dhh);
                 (caps, move |key| (hash_key(key) % m_dhh as u64) as usize)
             },
-            bloom: self.bloom,
         };
         run_hybrid(spec, r, s, hybrid, threads, obs)
     }

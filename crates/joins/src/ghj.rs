@@ -2,56 +2,29 @@
 //!
 //! The textbook partitioning join: hash both relations into `B − 1`
 //! partitions (one input page, one output-buffer page per partition), then
-//! join each partition pair. If an R partition still does not fit the memory
-//! budget the pair is either re-partitioned recursively or — following the
-//! paper's augmentation — handed to chunk-wise NBJ when that is estimated to
-//! be cheaper.
+//! join each partition pair with the partition-pair join every
+//! partitioning algorithm shares,
+//! [`smart_partition_join`]: chunk-wise NBJ, or — when the Table 1
+//! estimates say another pass is cheaper — recursive re-partitioning,
+//! following the paper's augmentation of GHJ.
 
-use nocap_model::classic_cost::nbj_cost_best;
-use nocap_model::pairwise::nbj_partition_join_filtered;
-use nocap_model::{ghj_cost, JoinRunReport, JoinSpec, ProbeBloom};
+use nocap_model::pairwise::smart_partition_join;
+use nocap_model::{JoinRunReport, JoinSpec};
 use nocap_obs::{Obs, Phase};
 use nocap_par::{page_shards, run_workers_obs, sum_tasks_obs, SharedWriterSet};
-use nocap_storage::device::DeviceRef;
-use nocap_storage::{
-    BufferPool, IoKind, JoinHashTable, PartitionHandle, PartitionWriter, RadixRouter, Relation,
-    SpillGuard,
-};
-
-/// SplitMix64 with a per-recursion-level salt so nested partitioning uses an
-/// independent hash function (the shared workspace hash, pinned bit-for-bit
-/// in `nocap_storage::hash`).
-fn level_hash(key: u64, level: u32) -> u64 {
-    nocap_storage::hash::mix64_seeded(key, nocap_storage::hash::level_seed_salted(level))
-}
+use nocap_storage::hash::mix64;
+use nocap_storage::{BufferPool, IoKind, PartitionHandle, RadixRouter, Relation, SpillGuard};
 
 /// Grace Hash Join executor.
 #[derive(Debug, Clone, Copy)]
 pub struct GraceHashJoin {
     spec: JoinSpec,
-    /// Maximum recursive partitioning depth before unconditionally falling
-    /// back to NBJ (a safety valve, 3 matches any realistic budget).
-    max_depth: u32,
-    /// Probe-side Bloom pre-filter for the partition-pair NBJs (on by
-    /// default; a pure CPU optimization — output and modeled I/O are
-    /// unchanged).
-    bloom: ProbeBloom,
 }
 
 impl GraceHashJoin {
     /// Creates a GHJ operator with the given spec.
     pub fn new(spec: JoinSpec) -> Self {
-        GraceHashJoin {
-            spec,
-            max_depth: 3,
-            bloom: ProbeBloom::default(),
-        }
-    }
-
-    /// Overrides the probe-side Bloom pre-filter knob.
-    pub fn with_bloom(mut self, bloom: ProbeBloom) -> Self {
-        self.bloom = bloom;
-        self
+        GraceHashJoin { spec }
     }
 
     /// Executes `r ⋈ s` on `threads` worker threads — the GHJ executor
@@ -106,7 +79,7 @@ impl GraceHashJoin {
                     let mut scan = relation.scan_range(shards[w].clone());
                     while let Some(page) = scan.next_page()? {
                         for rec in page.record_refs() {
-                            let p = (level_hash(rec.key(), 0) % num_partitions as u64) as usize;
+                            let p = (mix64(rec.key()) % num_partitions as u64) as usize;
                             router.push(p, rec, &mut |p, r| writers.push(p, r))?;
                         }
                     }
@@ -127,15 +100,10 @@ impl GraceHashJoin {
         let partition_io = device.stats().since(&base);
         record_ghj_skew(obs, &r_parts, &s_parts);
 
-        // Join each pair. The per-chunk probe filters are charged to the
-        // pool for the whole probe phase; an exhausted pool turns the
-        // filter off instead of failing.
-        let bloom_reservation = self.bloom.reserve(&pool);
-        let bloom_cfg = clamp_bloom(&self.bloom, &bloom_reservation);
         let probe_base = device.stats();
         let probe_span = obs.span(Phase::Probe);
         let output = sum_tasks_obs(threads, obs, Phase::Probe, r_parts.len(), |i| {
-            self.join_pair(&device, &r_parts[i], &s_parts[i], &bloom_cfg, 1)
+            smart_partition_join(&r_parts[i], &s_parts[i], spec, 1)
         })?;
         drop(probe_span);
         let probe_io = device.stats().since(&probe_base);
@@ -150,58 +118,6 @@ impl GraceHashJoin {
         report.probe_io = probe_io;
         report.finish_run(timer, obs);
         Ok(report)
-    }
-
-    /// Joins one partition pair, re-partitioning recursively when that is
-    /// estimated to be cheaper than chunk-wise NBJ.
-    fn join_pair(
-        &self,
-        device: &DeviceRef,
-        r_part: &PartitionHandle,
-        s_part: &PartitionHandle,
-        bloom: &ProbeBloom,
-        depth: u32,
-    ) -> nocap_storage::Result<u64> {
-        let spec = &self.spec;
-        if r_part.is_empty() || s_part.is_empty() {
-            return Ok(0);
-        }
-        let fits =
-            JoinHashTable::pages_for(r_part.records(), spec.r_layout, spec.page_size, spec.fudge)
-                + 2
-                <= spec.buffer_pages;
-        if fits || depth > self.max_depth {
-            return nbj_partition_join_filtered(r_part, s_part, spec, bloom, |_, _| {});
-        }
-        // The partition is still too large: recurse only if another
-        // partitioning pass is estimated to be cheaper than NBJ.
-        let nbj = nbj_cost_best(r_part.pages(), s_part.pages(), spec);
-        let ghj = ghj_cost(r_part.pages(), s_part.pages(), spec);
-        if nbj <= ghj {
-            return nbj_partition_join_filtered(r_part, s_part, spec, bloom, |_, _| {});
-        }
-        let num_partitions = spec.buffer_pages.saturating_sub(1).max(2);
-        // Fail-clean recursion: the sub-partitions are deleted when the
-        // guard drops, whether the nested joins succeed or not.
-        let mut guard = SpillGuard::new();
-        let r_sub = partition_handle(device, r_part, spec, num_partitions, depth)?;
-        guard.adopt_all(r_sub.iter().cloned());
-        let s_sub = partition_handle(device, s_part, spec, num_partitions, depth)?;
-        guard.adopt_all(s_sub.iter().cloned());
-        let mut output = 0u64;
-        for (rp, sp) in r_sub.iter().zip(s_sub.iter()) {
-            output += self.join_pair(device, rp, sp, bloom, depth + 1)?;
-        }
-        Ok(output)
-    }
-}
-
-/// Clamps the probe-filter page budget to what was actually reserved; a
-/// missing reservation turns the filter off.
-fn clamp_bloom(bloom: &ProbeBloom, reservation: &Option<nocap_storage::Reservation>) -> ProbeBloom {
-    match reservation {
-        Some(res) => ProbeBloom::with_pages(bloom.pages.min(res.pages())),
-        None => ProbeBloom::off(),
     }
 }
 
@@ -220,52 +136,6 @@ fn record_ghj_skew(obs: &Obs, r_parts: &[PartitionHandle], s_parts: &[PartitionH
         s_parts.iter().map(|h| h.records() as u64),
     );
     obs.count("partitions", r_parts.len() as u64);
-}
-
-/// Hash-partitions an existing spill partition into `m` sub-partitions
-/// (used by recursive re-partitioning).
-fn partition_handle(
-    device: &DeviceRef,
-    handle: &PartitionHandle,
-    spec: &JoinSpec,
-    m: usize,
-    level: u32,
-) -> nocap_storage::Result<Vec<PartitionHandle>> {
-    let mut writers: Vec<Option<PartitionWriter>> = (0..m).map(|_| None).collect();
-    let mut layout = None;
-    let mut reader = handle.read(IoKind::SeqRead);
-    while let Some(page) = reader.next_page()? {
-        let page_layout = page.record_layout();
-        layout.get_or_insert(page_layout);
-        for rec in page.record_refs() {
-            let p = (level_hash(rec.key(), level) % m as u64) as usize;
-            let writer = writers[p].get_or_insert_with(|| {
-                PartitionWriter::new(
-                    device.clone(),
-                    page_layout,
-                    spec.page_size,
-                    IoKind::RandWrite,
-                )
-            });
-            writer.push_ref(rec)?;
-        }
-    }
-    let layout = layout.unwrap_or(spec.r_layout);
-    // Fail-clean finish: a mid-loop error deletes the handles produced so
-    // far (unfinished writers delete their own files on drop).
-    let mut guard = SpillGuard::new();
-    let mut out = Vec::with_capacity(writers.len());
-    for w in writers {
-        let h = match w {
-            Some(w) => w.finish()?,
-            None => PartitionWriter::new(device.clone(), layout, spec.page_size, IoKind::RandWrite)
-                .finish()?,
-        };
-        guard.adopt(h.clone());
-        out.push(h);
-    }
-    let _ = guard.release();
-    Ok(out)
 }
 
 #[cfg(test)]

@@ -8,9 +8,11 @@
 //! * [`nbj`] — Nested Block Join: stream the inner relation through memory
 //!   in chunks, scanning the outer relation once per chunk.
 //! * [`ghj`] — Grace Hash Join: uniformly hash-partition both relations,
-//!   recursing when a partition still does not fit, then join partition
-//!   pairs (falling back to chunk-wise NBJ exactly like the paper's "GHJ
-//!   augmented to fall back to NBJ").
+//!   then join each partition pair with the partition-pair join every
+//!   partitioning algorithm shares
+//!   ([`smart_partition_join`](nocap_model::pairwise::smart_partition_join):
+//!   chunk-wise NBJ, or re-partitioning when that is estimated cheaper —
+//!   the paper's "GHJ augmented to fall back to NBJ").
 //! * [`smj`] — Sort-Merge Join on the external sorter, fusing the final
 //!   merge pass with the join.
 //! * [`dhh`] — Dynamic Hybrid Hash join (Algorithms 1 and 2): partitions are

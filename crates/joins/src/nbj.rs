@@ -33,10 +33,10 @@ impl NestedBlockJoin {
         s: &Relation,
         obs: &Obs,
     ) -> nocap_storage::Result<JoinRunReport> {
-        let (inner, outer, inner_is_r) = if r.num_pages() <= s.num_pages() {
-            (r, s, true)
+        let (inner, outer) = if r.num_pages() <= s.num_pages() {
+            (r, s)
         } else {
-            (s, r, false)
+            (s, r)
         };
         let spec = &self.spec;
         let device = r.device().clone();
@@ -80,7 +80,6 @@ impl NestedBlockJoin {
                 break;
             }
         }
-        let _ = inner_is_r;
         obs.count("nbj_chunks", chunks);
         obs.gauge_max("buffer_pool_peak_pages", pool.peak() as u64);
 

@@ -1,11 +1,13 @@
-//! Partition-wise join execution shared by every partitioning algorithm.
+//! The partition-pair join shared by every partitioning algorithm.
 //!
 //! After the partitioning phase, GHJ, DHH, Histojoin and NOCAP all face the
 //! same sub-problem: join one spilled R partition with the corresponding S
-//! partition. Following the paper (§3.1.1), the partition-wise join is
-//! executed as a Nested Block Join — the light optimizer of Table 1 almost
-//! always selects NBJ for these sub-joins because writing anything back to
-//! disk (as GHJ/SMJ would) costs μ/τ-weighted I/Os.
+//! partition. Following the paper (§3.1.1), a light optimizer decides per
+//! pair: the partition-wise join runs as a chunk-wise Nested Block Join
+//! unless the Table 1 estimates say another partitioning pass is cheaper.
+//! [`smart_partition_join`] is that optimizer and the only code that
+//! re-partitions a spilled pair: GHJ's probe fan-out and the hybrid-hash
+//! body NOCAP and DHH share both call it on every pair.
 //!
 //! [`nbj_partition_join`] loads the R partition chunk-by-chunk into an
 //! in-memory hash table sized to the full buffer budget and scans the S
@@ -18,10 +20,8 @@
 
 use std::sync::Arc;
 
-use nocap_storage::{BloomFilter, IoKind, JoinHashTable, Page, PartitionHandle, RecordRef};
+use nocap_storage::{IoKind, JoinHashTable, Page, PartitionHandle, RecordRef};
 
-use crate::report::JoinRunReport;
-use crate::sip::ProbeBloom;
 use crate::spec::JoinSpec;
 
 /// Joins one spilled partition pair with chunk-wise NBJ.
@@ -33,27 +33,6 @@ pub fn nbj_partition_join(
     r_partition: &PartitionHandle,
     s_partition: &PartitionHandle,
     spec: &JoinSpec,
-    on_output: impl FnMut(RecordRef<'_>, RecordRef<'_>),
-) -> nocap_storage::Result<u64> {
-    nbj_partition_join_filtered(
-        r_partition,
-        s_partition,
-        spec,
-        &ProbeBloom::off(),
-        on_output,
-    )
-}
-
-/// [`nbj_partition_join`] with a per-chunk Bloom pre-filter over the chunk's
-/// keys: S records that cannot match the resident chunk skip the hash-table
-/// probe entirely. Output and I/O are identical to the unfiltered join (the
-/// filter has no false negatives and touches no pages); the caller charges
-/// the filter's `bloom.pages` to its own buffer pool.
-pub fn nbj_partition_join_filtered(
-    r_partition: &PartitionHandle,
-    s_partition: &PartitionHandle,
-    spec: &JoinSpec,
-    bloom: &ProbeBloom,
     mut on_output: impl FnMut(RecordRef<'_>, RecordRef<'_>),
 ) -> nocap_storage::Result<u64> {
     if r_partition.is_empty() || s_partition.is_empty() {
@@ -79,26 +58,12 @@ pub fn nbj_partition_join_filtered(
         if table.is_empty() {
             break;
         }
-        // The chunk is complete: freeze it into the vectorized probe layout
-        // and (optionally) summarize its keys for the pre-filter.
+        // The chunk is complete: freeze it into the vectorized probe layout.
         table.seal();
-        let chunk_bloom = (bloom.enabled && bloom.pages > 0).then(|| {
-            BloomFilter::from_keys(
-                table.iter().map(|rec| rec.key()),
-                table.num_records(),
-                bloom.pages,
-                spec.page_size,
-            )
-        });
         // Scan S once for this chunk.
         let mut s_reader = s_partition.read(IoKind::SeqRead);
         while let Some(page) = s_reader.next_page()? {
             for s_rec in page.record_refs() {
-                if let Some(bf) = &chunk_bloom {
-                    if !bf.may_contain(s_rec.key()) {
-                        continue;
-                    }
-                }
                 for r_rec in table.probe(s_rec.key()) {
                     on_output(r_rec, s_rec);
                     output += 1;
@@ -160,19 +125,6 @@ impl ChunkLoader {
     }
 }
 
-/// Convenience wrapper: joins a list of partition pairs, accumulating output
-/// counts into `report.output_records`.
-pub fn join_partition_pairs(
-    pairs: &[(PartitionHandle, PartitionHandle)],
-    spec: &JoinSpec,
-    report: &mut JoinRunReport,
-) -> nocap_storage::Result<()> {
-    for (r_part, s_part) in pairs {
-        report.output_records += nbj_partition_join(r_part, s_part, spec, |_, _| {})?;
-    }
-    Ok(())
-}
-
 /// SplitMix64 with a per-recursion-level salt so nested re-partitioning uses
 /// an independent hash function from the one that produced the partition
 /// (the shared workspace hash, pinned bit-for-bit in `nocap_storage::hash`).
@@ -181,10 +133,11 @@ fn level_hash(key: u64, level: u32) -> u64 {
 }
 
 /// The paper's light optimizer applied to one spilled partition pair:
-/// join with chunk-wise NBJ, or — when the estimated Table 1 cost says
-/// another partitioning pass is cheaper (the regime below `√(F·‖R‖)`) —
-/// re-partition the pair recursively first, exactly as GHJ/DHH downgrade to
-/// Grace-style recursion.
+/// a pair that fits, or whose best chunk-wise NBJ costs no more than another
+/// GHJ pass, runs NBJ; any other pair — the regime below `√(F·‖R‖)` — is
+/// re-partitioned `B − 1` ways with the level-`depth` hash and each
+/// sub-pair joined the same way, with NBJ unconditional at depth 4.
+/// Callers pass `depth = 1` for a first-level pair.
 pub fn smart_partition_join(
     r_partition: &PartitionHandle,
     s_partition: &PartitionHandle,
@@ -355,26 +308,16 @@ mod tests {
     }
 
     #[test]
-    fn bloom_filtered_join_matches_the_unfiltered_join_exactly() {
+    fn multi_chunk_join_counts_each_match_once() {
         let dev = SimDevice::new_ref();
-        // Small budget forces several chunks, so per-chunk filters are
-        // actually rebuilt and consulted.
+        // Small budget forces several chunks, so S is rescanned per chunk.
         let spec = JoinSpec::paper_synthetic(512, 4);
         let r_keys: Vec<u64> = (0..300).collect();
         let s_keys: Vec<u64> = (0..600).map(|k| k * 2).collect(); // half miss
         let r = make_partition(dev.clone(), &r_keys, 504);
         let s = make_partition(dev.clone(), &s_keys, 504);
-
-        dev.reset_stats();
-        let plain = nbj_partition_join(&r, &s, &spec, |_, _| {}).unwrap();
-        let plain_io = dev.stats().total();
-        dev.reset_stats();
-        let filtered =
-            nbj_partition_join_filtered(&r, &s, &spec, &ProbeBloom::default(), |_, _| {}).unwrap();
-        let filtered_io = dev.stats().total();
-        assert_eq!(filtered, plain, "the pre-filter must not change output");
-        assert_eq!(filtered_io, plain_io, "the pre-filter must not touch I/O");
-        assert_eq!(plain, 150); // even keys 0,2,...,298 each match once
+        let out = nbj_partition_join(&r, &s, &spec, |_, _| {}).unwrap();
+        assert_eq!(out, 150); // even keys 0,2,...,298 each match once
     }
 
     #[test]
@@ -384,24 +327,5 @@ mod tests {
         let r = make_partition(dev.clone(), &[1, 2, 3], 56);
         let s = make_partition(dev.clone(), &[1, 3, 3, 7], 56);
         assert_eq!(smart_partition_join(&r, &s, &spec, 1).unwrap(), 3);
-    }
-
-    #[test]
-    fn join_partition_pairs_accumulates_output() {
-        let dev = SimDevice::new_ref();
-        let spec = JoinSpec::paper_synthetic(64, 32);
-        let pairs = vec![
-            (
-                make_partition(dev.clone(), &[1, 2], 56),
-                make_partition(dev.clone(), &[1, 1], 56),
-            ),
-            (
-                make_partition(dev.clone(), &[5], 56),
-                make_partition(dev.clone(), &[5, 5, 5], 56),
-            ),
-        ];
-        let mut report = JoinRunReport::new("pairwise-test");
-        join_partition_pairs(&pairs, &spec, &mut report).unwrap();
-        assert_eq!(report.output_records, 5);
     }
 }

@@ -2,11 +2,11 @@
 //!
 //! §6 of the paper discusses passing a compact summary of the build side
 //! into the probe side so that S records without a partner are rejected
-//! before they cost anything. [`ProbeBloom`] is that knob for the NOCAP,
-//! DHH and GHJ executors: a small [`BloomFilter`] built over the completed
-//! in-memory build table's keys (charged against the executor's
-//! [`BufferPool`]), consulted in the S-pass probe loop before the hash
-//! table.
+//! before they cost anything. [`ProbeBloom`] is that filter for the NOCAP
+//! and DHH executors: a [`ProbeBloom::PAGES`]-page [`BloomFilter`] built
+//! over the completed in-memory build table's keys (charged against the
+//! executor's [`BufferPool`]), consulted in the S-pass probe loop before the
+//! hash table. It is built on every run whose pool has a spare page.
 //!
 //! The filter is a pure CPU optimization with a hard equivalence contract:
 //!
@@ -24,52 +24,22 @@
 
 use nocap_storage::{BloomFilter, BufferPool, JoinHashTable, Reservation};
 
-/// Configuration of the probe-side Bloom pre-filter (on by default).
+/// The probe-side Bloom pre-filter of the hybrid-hash executors.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ProbeBloom {
-    /// Whether the pre-filter is consulted at all.
-    pub enabled: bool,
-    /// Pages of buffer-pool memory the filter may occupy (clamped to what
-    /// the pool has spare at reservation time).
-    pub pages: usize,
-}
-
-impl Default for ProbeBloom {
-    fn default() -> Self {
-        ProbeBloom {
-            enabled: true,
-            pages: 2,
-        }
-    }
-}
+pub struct ProbeBloom;
 
 impl ProbeBloom {
-    /// Disables the pre-filter (the executors' opt-out knob).
-    pub fn off() -> Self {
-        ProbeBloom {
-            enabled: false,
-            pages: 0,
-        }
-    }
-
-    /// An enabled pre-filter with an explicit page budget.
-    pub fn with_pages(pages: usize) -> Self {
-        ProbeBloom {
-            enabled: pages > 0,
-            pages,
-        }
-    }
+    /// Pages of buffer-pool memory the filter asks for (clamped to what the
+    /// pool has spare at reservation time).
+    pub const PAGES: usize = 2;
 
     /// Reserves the filter's memory from `pool` at the executor's
     /// designated reservation point (after the residual budget is read, so
     /// partition geometry never shifts). Returns `None` — filter skipped —
-    /// when disabled or when the pool has nothing spare; the reservation is
-    /// clamped, never a new out-of-memory path.
-    pub fn reserve(&self, pool: &BufferPool) -> Option<Reservation> {
-        if !self.enabled {
-            return None;
-        }
-        let pages = self.pages.min(pool.available());
+    /// when the pool has nothing spare; the reservation is clamped, never a
+    /// new out-of-memory path.
+    pub fn reserve(pool: &BufferPool) -> Option<Reservation> {
+        let pages = Self::PAGES.min(pool.available());
         if pages == 0 {
             return None;
         }
@@ -80,7 +50,6 @@ impl ProbeBloom {
     /// actually reserved. `None` (no reservation, or an empty table) means
     /// the probe loop runs unfiltered.
     pub fn build(
-        &self,
         table: &JoinHashTable,
         reservation: &Option<Reservation>,
         page_size: usize,
@@ -112,48 +81,29 @@ mod tests {
     }
 
     #[test]
-    fn default_is_on_and_off_is_off() {
-        assert!(ProbeBloom::default().enabled);
-        assert!(ProbeBloom::default().pages > 0);
-        assert!(!ProbeBloom::off().enabled);
-        assert!(ProbeBloom::with_pages(3).enabled);
-        assert!(!ProbeBloom::with_pages(0).enabled);
-    }
-
-    #[test]
     fn reservation_is_charged_to_the_pool_and_clamped() {
-        let pool = BufferPool::new(10);
-        let cfg = ProbeBloom::with_pages(4);
-        let res = cfg.reserve(&pool).expect("pages available");
-        assert_eq!(res.pages(), 4);
-        assert_eq!(pool.in_use(), 4);
+        let pool = BufferPool::new(ProbeBloom::PAGES + 1);
+        let res = ProbeBloom::reserve(&pool).expect("pages available");
+        assert_eq!(res.pages(), ProbeBloom::PAGES);
+        assert_eq!(pool.in_use(), ProbeBloom::PAGES);
         // A second filter only gets what is spare.
-        let tight = ProbeBloom::with_pages(100);
-        let clamped = tight.reserve(&pool).expect("clamped, not OOM");
-        assert_eq!(clamped.pages(), 6);
+        let clamped = ProbeBloom::reserve(&pool).expect("clamped, not OOM");
+        assert_eq!(clamped.pages(), 1);
         assert_eq!(pool.available(), 0);
         // An exhausted pool skips the filter instead of failing.
-        assert!(tight.reserve(&pool).is_none());
+        assert!(ProbeBloom::reserve(&pool).is_none());
         drop(res);
         drop(clamped);
         assert_eq!(pool.in_use(), 0);
     }
 
     #[test]
-    fn disabled_filter_reserves_nothing() {
-        let pool = BufferPool::new(10);
-        assert!(ProbeBloom::off().reserve(&pool).is_none());
-        assert_eq!(pool.in_use(), 0);
-    }
-
-    #[test]
     fn built_filter_has_no_false_negatives_over_the_table() {
         let pool = BufferPool::new(10);
-        let cfg = ProbeBloom::default();
         let keys: Vec<u64> = (0..3_000u64).map(|k| k * 3).collect();
         let table = table_with_keys(&keys);
-        let res = cfg.reserve(&pool);
-        let bf = cfg.build(&table, &res, 4096).expect("filter built");
+        let res = ProbeBloom::reserve(&pool);
+        let bf = ProbeBloom::build(&table, &res, 4096).expect("filter built");
         assert_eq!(bf.inserted(), keys.len());
         assert!(keys.iter().all(|&k| bf.may_contain(k)));
         // And it actually rejects most foreign keys.
@@ -165,10 +115,9 @@ mod tests {
 
     #[test]
     fn empty_table_or_missing_reservation_skips_the_filter() {
-        let cfg = ProbeBloom::default();
         let pool = BufferPool::new(10);
-        let res = cfg.reserve(&pool);
-        assert!(cfg.build(&table_with_keys(&[]), &res, 4096).is_none());
-        assert!(cfg.build(&table_with_keys(&[1]), &None, 4096).is_none());
+        let res = ProbeBloom::reserve(&pool);
+        assert!(ProbeBloom::build(&table_with_keys(&[]), &res, 4096).is_none());
+        assert!(ProbeBloom::build(&table_with_keys(&[1]), &None, 4096).is_none());
     }
 }

@@ -24,27 +24,28 @@
 //! * Residual destaging uses fixed per-partition quotas
 //!   ([`ParallelStager`]): a partition's page-out bit depends only on its
 //!   total record count, never on interleaving.
-//! * The probe phase joins the same partition pairs with the same
-//!   [`smart_partition_join`]; each pair's I/O is independent of the order
-//!   pairs are claimed from the work queue.
+//! * The probe phase joins the same partition pairs with
+//!   [`smart_partition_join`], the partition-pair join GHJ uses too; each
+//!   pair's I/O is independent of the order pairs are claimed from the
+//!   work queue.
 //!
 //! **Memory.** During the partitioning phases the pool reserves the two
 //! streaming pages and the algorithm's fixed structures; what is left is the
-//! residual budget the quotas are derived from. The probe-side bloom is
-//! reserved after that budget is read (so geometry and quotas never shift
-//! with the filter on or off), and `carve_remaining` then carves the rest
-//! into one visible reservation per residual partition. The quotas therefore
-//! sum to the *pre-bloom* residual budget while the carving covers that
-//! budget minus the bloom's pages (2 by default): staged pages plus the
-//! filter can reach `B` plus the bloom's pages while
-//! `buffer_pool_peak_pages` reports at most `B`. This is an open accounting
-//! term for the uneven-quota work to resolve. Two knowing simplifications
-//! besides: each worker holds one transient scan-buffer page (the model
-//! charges one logical input page for the pipeline, as the paper does), and
-//! the fanned-out probe phase runs up to `threads` partition-pair NBJs
-//! concurrently, each with the `B − 2`-page chunk the cost model prescribes
-//! — peak physical probe memory is `threads × B` pages even though the
-//! modeled I/O is unchanged.
+//! residual budget the quotas are derived from. The probe-side bloom
+//! ([`ProbeBloom`], always on) is reserved after that budget is read, and
+//! `carve_remaining` then carves the rest into one visible reservation per
+//! residual partition. The quotas therefore sum to the *pre-bloom* residual
+//! budget while the carving covers that budget minus the bloom's
+//! [`ProbeBloom::PAGES`]: staged pages plus the filter can reach
+//! `B + ProbeBloom::PAGES` while `buffer_pool_peak_pages` reports at most
+//! `B`. This is an open accounting term for the uneven-quota work to
+//! resolve: the fixed filter's pages belong inside the residual budget.
+//! Two knowing simplifications besides: each worker holds one transient
+//! scan-buffer page (the model charges one logical input page for the
+//! pipeline, as the paper does), and the fanned-out probe phase runs up to
+//! `threads` partition-pair NBJs concurrently, each with the `B − 2`-page
+//! chunk the cost model prescribes — peak physical probe memory is
+//! `threads × B` pages even though the modeled I/O is unchanged.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Mutex;
@@ -83,8 +84,6 @@ pub struct HybridPlan<G> {
     pub fixed_pages: usize,
     /// Derives `(quota caps, router)` from the residual budget.
     pub residual: G,
-    /// The probe-side Bloom pre-filter.
-    pub bloom: ProbeBloom,
 }
 
 /// Executes `r ⋈ s` under `plan` on `threads` worker threads.
@@ -120,7 +119,6 @@ where
         num_designated,
         fixed_pages,
         residual,
-        bloom,
     } = plan;
     let device = r.device().clone();
     let _io_trace = obs.attach_io(&device);
@@ -133,7 +131,7 @@ where
     // The bloom goes after the residual budget is read and before the
     // carving below consumes every remaining page; an exhausted pool skips
     // the filter instead of failing.
-    let bloom_reservation = bloom.reserve(&pool);
+    let bloom_reservation = ProbeBloom::reserve(&pool);
     let _quotas: Vec<Reservation> = pool.carve_remaining(caps.len());
 
     let timer = obs.run_timer();
@@ -205,7 +203,7 @@ where
     // Freeze the completed build side for vectorized probes and build the
     // probe pre-filter from its keys (order-invariant bit contents).
     ht_mem.seal();
-    let bloom = bloom.build(&ht_mem, &bloom_reservation, spec.page_size);
+    let bloom = ProbeBloom::build(&ht_mem, &bloom_reservation, spec.page_size);
 
     // ---- Partition / probe S ------------------------------------------
     let s_disk = SharedWriterSet::new(

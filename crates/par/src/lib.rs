@@ -8,16 +8,17 @@
 //! threads **without changing the modeled I/O or violating the paper's
 //! memory budget**:
 //!
-//! * [`pool`] — a scoped [`run_workers`] fan-out helper, a work-queue
-//!   [`sum_tasks`] helper for the partition-wise probe phase, and
-//!   [`default_threads`] (the `NOCAP_THREADS` environment knob). All
-//!   fan-outs are **fail-clean**: worker panics are caught and surfaced as
+//! * [`pool`] — a scoped [`run_workers`] fan-out helper, the work-queue
+//!   helpers [`sum_tasks_obs`] (the partition-wise probe phase) and
+//!   [`ordered_tasks_obs`] (SMJ's sort chunks), and [`default_threads`]
+//!   (the `NOCAP_THREADS` environment knob). All fan-outs are
+//!   **fail-clean**: worker panics are caught and surfaced as
 //!   `StorageError::WorkerPanicked`, and a [`cancel`] token
 //!   ([`CancelToken`]) propagates the first error so siblings stop at their
-//!   next task boundary instead of finishing doomed work. The
-//!   `*_obs` variants ([`run_workers_obs`], [`sum_tasks_obs`],
-//!   [`ordered_tasks_obs`]) additionally record per-worker / per-task spans
-//!   through `nocap-obs`, producing the per-worker timelines of the
+//!   next task boundary instead of finishing doomed work. The `*_obs`
+//!   helpers ([`run_workers_obs`], [`sum_tasks_obs`], [`ordered_tasks_obs`])
+//!   record per-worker / per-task spans through `nocap-obs` (nothing with
+//!   `Obs::off()`), producing the per-worker timelines of the
 //!   chrome://tracing output without perturbing execution.
 //! * [`shard`] — [`page_shards`] splits a relation's pages into contiguous
 //!   per-worker morsels; [`SharedPartitionWriter`] / [`SharedWriterSet`]
@@ -69,8 +70,8 @@ pub mod stage;
 pub use cancel::CancelToken;
 pub use hybrid::{run_hybrid, HybridPlan};
 pub use pool::{
-    default_threads, ordered_tasks, ordered_tasks_obs, run_workers, run_workers_cancel,
-    run_workers_obs, sum_tasks, sum_tasks_obs,
+    default_threads, ordered_tasks_obs, run_workers, run_workers_cancel, run_workers_obs,
+    sum_tasks_obs,
 };
 pub use quota::even_caps;
 pub use quota_stage::{QuotaStager, QuotaStagerBuild};

@@ -5,11 +5,11 @@
 //! * **static sharding** ([`run_workers`]): `n` workers, each handed its
 //!   worker id, producing one result each — used for the partitioning
 //!   scans, where worker `w` owns the `w`-th page range of the relation;
-//! * **dynamic work queue** ([`sum_tasks`]): a list of independent tasks
+//! * **dynamic work queue** ([`sum_tasks_obs`]): a list of independent tasks
 //!   (spilled partition pairs) claimed from an atomic cursor — used for the
 //!   build/probe phase, where per-partition work is wildly uneven under
 //!   skew and static assignment would leave workers idle;
-//! * **ordered work queue** ([`ordered_tasks`]): the same atomic claiming,
+//! * **ordered work queue** ([`ordered_tasks_obs`]): the same atomic claiming,
 //!   but results land at their task index — used where downstream
 //!   consumers need the artifacts in canonical order (the sort chunks of
 //!   `SortMergeJoin::run_parallel_obs`), with per-worker reusable state so the
@@ -187,17 +187,9 @@ where
 /// Tasks are claimed with a relaxed `fetch_add` — claim order is
 /// nondeterministic, which is fine because every consumer of this helper
 /// (the partition-wise probe phase) produces order-independent counts.
-pub fn sum_tasks<F>(threads: usize, count: usize, f: F) -> Result<u64>
-where
-    F: Fn(usize) -> Result<u64> + Sync,
-{
-    sum_tasks_obs(threads, &Obs::off(), Phase::Probe, count, f)
-}
-
-/// [`sum_tasks`] with per-task observability: every claimed task becomes a
-/// span of the given phase tagged with its worker id and task index —
-/// the raw material of the per-worker timelines (a worker's gaps between
-/// task spans are its idle/claim time).
+/// Every claimed task becomes a span of the given phase tagged with its
+/// worker id and task index — the raw material of the per-worker
+/// timelines (a worker's gaps between task spans are its idle/claim time).
 pub fn sum_tasks_obs<F>(threads: usize, obs: &Obs, phase: Phase, count: usize, f: F) -> Result<u64>
 where
     F: Fn(usize) -> Result<u64> + Sync,
@@ -232,18 +224,9 @@ where
 /// staging buffer, …) that is reused across every task the worker claims,
 /// so per-task work can stay allocation-free. This is the fan-out shape of
 /// parallel run generation: tasks are the fixed sort chunks, the result
-/// vector is the canonical run order the merge consumes.
-pub fn ordered_tasks<S, T, F, I>(threads: usize, count: usize, init: I, f: F) -> Result<Vec<T>>
-where
-    T: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize) -> Result<T> + Sync,
-{
-    ordered_tasks_obs(threads, &Obs::off(), Phase::SortRunGen, count, init, f)
-}
-
-/// [`ordered_tasks`] with per-task observability: every claimed task becomes
-/// a span of the given phase tagged with its worker id and task index.
+/// vector is the canonical run order the merge consumes. Every claimed task
+/// becomes a span of the given phase tagged with its worker id and task
+/// index.
 pub fn ordered_tasks_obs<S, T, F, I>(
     threads: usize,
     obs: &Obs,
@@ -357,7 +340,7 @@ mod tests {
     fn sum_tasks_stops_claiming_after_first_error() {
         use std::sync::atomic::AtomicU64;
         let executed = AtomicU64::new(0);
-        let err = sum_tasks(2, 10_000, |i| {
+        let err = sum_tasks_obs(2, &Obs::off(), Phase::Probe, 10_000, |i| {
             executed.fetch_add(1, Ordering::Relaxed);
             if i == 0 {
                 Err(StorageError::Io("early".into()))
@@ -400,7 +383,7 @@ mod tests {
     fn sum_tasks_covers_every_task_exactly_once() {
         use std::sync::atomic::AtomicU64;
         let hits = AtomicU64::new(0);
-        let total = sum_tasks(4, 100, |i| {
+        let total = sum_tasks_obs(4, &Obs::off(), Phase::Probe, 100, |i| {
             hits.fetch_add(1, Ordering::Relaxed);
             Ok(i as u64)
         })
@@ -411,7 +394,10 @@ mod tests {
 
     #[test]
     fn sum_tasks_with_zero_tasks_is_zero() {
-        assert_eq!(sum_tasks(4, 0, |_| Ok(7)).unwrap(), 0);
+        assert_eq!(
+            sum_tasks_obs(4, &Obs::off(), Phase::Probe, 0, |_| Ok(7)).unwrap(),
+            0
+        );
     }
 
     #[test]
@@ -422,8 +408,10 @@ mod tests {
     #[test]
     fn ordered_tasks_returns_results_in_task_order() {
         for threads in [1usize, 2, 4, 8] {
-            let results = ordered_tasks(
+            let results = ordered_tasks_obs(
                 threads,
+                &Obs::off(),
+                Phase::SortRunGen,
                 50,
                 || 0usize,
                 |state, i| {
@@ -439,8 +427,10 @@ mod tests {
     #[test]
     fn ordered_tasks_reuses_worker_state() {
         // Single worker: the per-worker state must see every task.
-        let results = ordered_tasks(
+        let results = ordered_tasks_obs(
             1,
+            &Obs::off(),
+            Phase::SortRunGen,
             10,
             || 0usize,
             |seen, _| {
@@ -454,8 +444,10 @@ mod tests {
 
     #[test]
     fn ordered_tasks_propagates_errors() {
-        let err = ordered_tasks(
+        let err = ordered_tasks_obs(
             4,
+            &Obs::off(),
+            Phase::SortRunGen,
             20,
             || (),
             |_, i| {
@@ -472,7 +464,8 @@ mod tests {
 
     #[test]
     fn ordered_tasks_with_zero_tasks_is_empty() {
-        let results: Vec<usize> = ordered_tasks(4, 0, || (), |_, i| Ok(i)).unwrap();
+        let results: Vec<usize> =
+            ordered_tasks_obs(4, &Obs::off(), Phase::SortRunGen, 0, || (), |_, i| Ok(i)).unwrap();
         assert!(results.is_empty());
     }
 
@@ -517,12 +510,5 @@ mod tests {
         let trace = obs.take_trace().unwrap();
         assert_eq!(trace.spans.len(), 15);
         assert!(trace.spans.iter().all(|s| s.phase == Phase::SortRunGen));
-    }
-
-    #[test]
-    fn obs_off_changes_nothing() {
-        let with_obs = sum_tasks_obs(4, &Obs::off(), Phase::Probe, 50, |i| Ok(i as u64)).unwrap();
-        let without = sum_tasks(4, 50, |i| Ok(i as u64)).unwrap();
-        assert_eq!(with_obs, without);
     }
 }

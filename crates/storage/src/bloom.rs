@@ -3,9 +3,10 @@
 //! §6 of the paper discusses sideways information passing (SIP): while
 //! partitioning R, build a Bloom filter over its join keys and consult it
 //! while partitioning S, so that S records without a partner are dropped
-//! immediately instead of being spilled and re-read. The executors use it
-//! as a probe pre-filter: a negative answer skips the hash-table probe
-//! entirely (see `ProbeBloom` in `nocap-model`).
+//! immediately instead of being spilled and re-read. The NOCAP and DHH
+//! executors always build one over their in-memory build table and consult
+//! it in the S pass: a negative answer skips the hash-table probe entirely
+//! (see `ProbeBloom` in `nocap-model`).
 //!
 //! The filter is *cache-blocked*: a key's block — one 64-byte cache line —
 //! is chosen by the first hash, and all `k` probe bits land inside that

@@ -1,8 +1,9 @@
 //! The one key-hashing utility shared by every crate.
 //!
 //! Historically the rounded-hash router (`nocap::rounded_hash`), DHH's
-//! modulo router, GHJ's level-salted recursion hash and the hash table's
-//! Fibonacci bucket mapping each hand-rolled the same SplitMix64 mixing.
+//! modulo router, the partition-pair join's level-seeded recursion hash and
+//! the hash table's Fibonacci bucket mapping each hand-rolled the same
+//! SplitMix64 mixing.
 //! They all live here now, with their exact bit-for-bit behaviour pinned by
 //! tests, so routing decisions — and therefore partition contents, spill
 //! files and the modeled I/O trace — cannot drift when one call site is
@@ -21,8 +22,8 @@
 /// increment and the multiplier of [`fib_bucket`].
 pub const FIB: u64 = 0x9E37_79B9_7F4A_7C15;
 
-/// The per-level salt multiplier used by the recursive re-partitioning
-/// hashes ([`level_seed`] / [`level_seed_salted`]).
+/// The per-level salt multiplier of the recursive re-partitioning hash
+/// ([`level_seed`]).
 pub const LEVEL_SALT: u64 = 0xA24B_AED4_963E_E407;
 
 /// The SplitMix64 finalizer: bijective avalanche mixing of a 64-bit state.
@@ -48,18 +49,11 @@ pub fn mix64_seeded(key: u64, seed: u64) -> u64 {
     splitmix64(key.wrapping_add(FIB).wrapping_add(seed))
 }
 
-/// The seed for recursion level `level` of a partitioning join that salts
-/// with the plain multiplied level (the partition-pair NBJ recursion).
+/// The seed for recursion level `level` of the partition-pair join's
+/// re-partitioning (`nocap_model::pairwise::smart_partition_join`).
 #[inline]
 pub fn level_seed(level: u32) -> u64 {
     (level as u64).wrapping_mul(LEVEL_SALT)
-}
-
-/// The seed for recursion level `level` of GHJ's top-level recursion, which
-/// additionally folds the level into the high byte.
-#[inline]
-pub fn level_seed_salted(level: u32) -> u64 {
-    ((level as u64) << 56) | (level as u64).wrapping_mul(LEVEL_SALT)
 }
 
 /// The MurmurHash3 64-bit finalizer over an offset independent of
@@ -88,16 +82,6 @@ mod tests {
     /// the router hash every spill file geometry depends on.
     fn legacy_mix_key(key: u64) -> u64 {
         let mut z = key.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// The exact historical GHJ `level_hash`.
-    fn legacy_ghj_level_hash(key: u64, level: u32) -> u64 {
-        let mut z = key.wrapping_add(0x9E37_79B9_7F4A_7C15).wrapping_add(
-            (level as u64) << 56 | (level as u64).wrapping_mul(0xA24B_AED4_963E_E407),
-        );
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
         z ^ (z >> 31)
@@ -148,11 +132,6 @@ mod tests {
         for &k in &PROBE_KEYS {
             for level in 0..6u32 {
                 assert_eq!(
-                    mix64_seeded(k, level_seed_salted(level)),
-                    legacy_ghj_level_hash(k, level),
-                    "GHJ level hash diverged at key {k:#x} level {level}"
-                );
-                assert_eq!(
                     mix64_seeded(k, level_seed(level)),
                     legacy_pairwise_level_hash(k, level),
                     "pairwise level hash diverged at key {k:#x} level {level}"
@@ -165,7 +144,6 @@ mod tests {
     fn level_zero_degenerates_to_the_plain_mix() {
         for &k in &PROBE_KEYS {
             assert_eq!(mix64_seeded(k, level_seed(0)), mix64(k));
-            assert_eq!(mix64_seeded(k, level_seed_salted(0)), mix64(k));
         }
     }
 

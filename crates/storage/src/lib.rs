@@ -36,7 +36,7 @@
 //!   (F) space accounting, a sealed bucket-contiguous probe layout and
 //!   vectorized key compares.
 //! * [`hash`] — the one key-hashing utility every crate shares: SplitMix64
-//!   routing hash, seeded recursion-level hashes, the independent Murmur
+//!   routing hash, the seeded recursion-level hash, the independent Murmur
 //!   stream and the Fibonacci bucket mapping.
 //! * [`simd`] — the vectorized key-scan kernels behind the hash table and
 //!   bloom filter (`std::simd` on nightly, auto-vectorizable chunked

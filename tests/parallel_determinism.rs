@@ -7,6 +7,8 @@
 //!    the join output and per-phase modeled I/O checked in below — the
 //!    numbers the former sequential executors produced — across skewed
 //!    (Zipf 1.1), uniform and JCC-H workloads and several memory budgets.
+//!    GHJ is pinned at B = 48 and at a budget where its partition pairs
+//!    re-partition recursively.
 //! 2. The whole sketch-plan-execute pipeline is thread-count invariant:
 //!    `collect_and_run_parallel_obs(n)` reproduces its pinned numbers
 //!    exactly (same sharded summary → same plan → same I/O), and
@@ -20,7 +22,7 @@ use std::sync::Barrier;
 
 use nocap_suite::joins::testutil::{assert_parallel_equivalence, pinned_report};
 use nocap_suite::joins::{DhhJoin, GraceHashJoin, SortMergeJoin};
-use nocap_suite::model::{JoinRunReport, JoinSpec, ProbeBloom};
+use nocap_suite::model::{JoinRunReport, JoinSpec};
 use nocap_suite::nocap::{NocapConfig, NocapJoin};
 use nocap_suite::obs::{IoAudit, Obs, Phase};
 use nocap_suite::stats::{StatsCollector, StatsConfig};
@@ -187,6 +189,18 @@ const GHJ_PINS: [Pin; 3] = [
     ),
 ];
 
+/// GHJ at a budget where its partition pairs do not fit and the shared
+/// partition-pair join re-partitions them (the probe phase writes).
+/// Recorded with that join's level-seeded sub-partition hash, not from a
+/// former sequential executor.
+const GHJ_RECURSIVE_PIN: Pin = (
+    "zipf_1.1",
+    8,
+    48_000,
+    [1743, 0, 0, 1749],
+    [3540, 0, 0, 1791],
+);
+
 /// The NOCAP sketch-plan-execute pipeline (4 stats pages per shard).
 const NOCAP_PIPELINE_PINS: [Pin; 3] = [
     ("zipf_1.1", 64, 48_000, [1743, 0, 0, 674], [678, 0, 0, 4]),
@@ -292,80 +306,82 @@ fn smj_run_parallel_matches_run_across_workloads_threads_and_budgets() {
 }
 
 #[test]
-fn probe_bloom_filter_changes_neither_output_nor_modeled_io() {
-    // The probe-side Bloom pre-filter is a pure CPU optimization: a filter
-    // miss takes exactly the `probe_count == 0` route, the reservation is
-    // clamped after the partition geometry is fixed, and the bits depend
-    // only on the build-side key multiset. So for every executor, workload
-    // and thread count, bloom-on and bloom-off runs must reproduce the same
-    // pinned output and per-phase modeled I/O.
+fn hash_joins_match_their_pins_at_the_bloom_cells() {
+    // NOCAP and DHH always build the probe-side Bloom pre-filter; it is a
+    // pure CPU optimization: a filter miss takes exactly the
+    // `probe_count == 0` route, the reservation is clamped after the
+    // partition geometry is fixed, and the bits depend only on the
+    // build-side key multiset. GHJ has no probe filter and joins its pairs
+    // with the same partition-pair join. So every executor, workload and
+    // thread count reproduces the same pinned output and per-phase modeled
+    // I/O at B = 48.
     for (name, workload) in &workload_grid() {
         let spec = JoinSpec::paper_synthetic(128, 48);
 
-        // NOCAP: knob on NocapConfig (default on).
-        let expected = pinned(&NOCAP_PINS, name, 48);
-        for (bloom, threads) in [("on", &[1usize, 2, 4][..]), ("off", &[1, 4])] {
-            let config = NocapConfig {
-                bloom: if bloom == "on" {
-                    ProbeBloom::default()
-                } else {
-                    ProbeBloom::off()
-                },
-                ..NocapConfig::default()
-            };
-            let join = NocapJoin::new(spec, config);
-            assert_parallel_equivalence(
-                &format!("nocap/{name}/bloom-{bloom}"),
-                threads,
-                &expected,
-                |threads| {
-                    let wl = generate(workload);
-                    join.run_parallel_obs(&wl.r, &wl.s, &wl.mcvs, threads, &Obs::off())
-                        .expect("NOCAP run")
-                },
-            );
-        }
+        let join = NocapJoin::new(spec, NocapConfig::default());
+        assert_parallel_equivalence(
+            &format!("nocap/{name}/B=48"),
+            &[1, 2, 4],
+            &pinned(&NOCAP_PINS, name, 48),
+            |threads| {
+                let wl = generate(workload);
+                join.run_parallel_obs(&wl.r, &wl.s, &wl.mcvs, threads, &Obs::off())
+                    .expect("NOCAP run")
+            },
+        );
 
-        // DHH: builder knob (default on).
-        let expected = pinned(&DHH_PINS, name, 48);
-        for (bloom, threads) in [("on", &[1usize, 4][..]), ("off", &[1])] {
-            let dhh = DhhJoin::with_defaults(spec).with_bloom(if bloom == "on" {
-                ProbeBloom::default()
-            } else {
-                ProbeBloom::off()
-            });
-            assert_parallel_equivalence(
-                &format!("dhh/{name}/bloom-{bloom}"),
-                threads,
-                &expected,
-                |threads| {
-                    let wl = generate(workload);
-                    dhh.run_parallel_obs(&wl.r, &wl.s, &wl.mcvs, threads, &Obs::off())
-                        .expect("DHH run")
-                },
-            );
-        }
+        let dhh = DhhJoin::with_defaults(spec);
+        assert_parallel_equivalence(
+            &format!("dhh/{name}/B=48"),
+            &[1, 4],
+            &pinned(&DHH_PINS, name, 48),
+            |threads| {
+                let wl = generate(workload);
+                dhh.run_parallel_obs(&wl.r, &wl.s, &wl.mcvs, threads, &Obs::off())
+                    .expect("DHH run")
+            },
+        );
 
-        // GHJ: per-chunk filters inside the partition-pair NBJs.
-        let expected = pinned(&GHJ_PINS, name, 48);
-        for (bloom, threads) in [("on", &[1usize, 4][..]), ("off", &[1])] {
-            let ghj = GraceHashJoin::new(spec).with_bloom(if bloom == "on" {
-                ProbeBloom::default()
-            } else {
-                ProbeBloom::off()
-            });
-            assert_parallel_equivalence(
-                &format!("ghj/{name}/bloom-{bloom}"),
-                threads,
-                &expected,
-                |threads| {
-                    let wl = generate(workload);
-                    ghj.run_parallel_obs(&wl.r, &wl.s, threads, &Obs::off())
-                        .expect("GHJ run")
-                },
-            );
-        }
+        let ghj = GraceHashJoin::new(spec);
+        assert_parallel_equivalence(
+            &format!("ghj/{name}/B=48"),
+            &[1, 4],
+            &pinned(&GHJ_PINS, name, 48),
+            |threads| {
+                let wl = generate(workload);
+                ghj.run_parallel_obs(&wl.r, &wl.s, threads, &Obs::off())
+                    .expect("GHJ run")
+            },
+        );
     }
+}
+
+#[test]
+fn ghj_recursive_pair_join_matches_its_pin_at_every_thread_count() {
+    // Re-partitioning is the only writer of the probe phase, so the pin's
+    // probe writes prove that this cell exercises the recursive path.
+    let (name, budget, output, partition_io, probe_io) = GHJ_RECURSIVE_PIN;
+    let expected = pinned_report(output, partition_io, probe_io);
+    assert!(expected.probe_io.writes() > 0, "the cell must recurse");
+    let (_, workload) = workload_grid()
+        .into_iter()
+        .find(|(grid_name, _)| *grid_name == name)
+        .expect("pinned workload is on the grid");
+    let ghj = GraceHashJoin::new(JoinSpec::paper_synthetic(128, budget));
+    assert_parallel_equivalence(
+        &format!("ghj/{name}/B={budget}"),
+        &[1, 2, 4, 8],
+        &expected,
+        |threads| {
+            let wl = generate(&workload);
+            let report = ghj
+                .run_parallel_obs(&wl.r, &wl.s, threads, &Obs::off())
+                .expect("GHJ run");
+            assert!(report.probe_io.writes() > 0, "GHJ must re-partition");
+            assert_eq!(report.output_records, wl.expected_join_output());
+            report
+        },
+    );
 }
 
 #[test]
